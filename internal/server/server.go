@@ -141,13 +141,6 @@ type Server struct {
 	jobs   map[string]*job
 	order  []string
 	nextID int
-
-	// Decoded-corpus cache for the query endpoints. The store is
-	// append-only, so the cache is valid exactly while the entry count is
-	// unchanged; a grown store triggers one rescan on the next query.
-	corpusMu  sync.Mutex //wclint:lockrank 25
-	corpus    []sweep.Record
-	corpusLen int
 }
 
 // New creates a server with its shared simulation budget.
@@ -1023,11 +1016,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
+	records, rescans := s.store.CorpusStats()
 	resp := map[string]any{
 		"store": map[string]any{
 			"hits":    s.store.Hits(),
 			"misses":  s.store.Misses(),
 			"entries": s.store.Len(),
+		},
+		"corpus": map[string]any{
+			"records": records,
+			"rescans": rescans,
 		},
 		"jobs": jc,
 		"scheduler": map[string]any{
@@ -1069,52 +1067,11 @@ func (s *Server) queryRecords(r *http.Request) ([]sweep.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	corpus, err := s.corpusRecords()
+	corpus, err := s.store.Records()
 	if err != nil {
 		return nil, err
 	}
 	return f.Apply(corpus), nil
-}
-
-// corpusRecords returns every stored result flattened to a Record, sorted
-// canonically, decoded at most once per store growth: while the
-// append-only store's entry count is unchanged the cached slice is
-// reused, so steady-state queries cost a filter pass, not a disk scan.
-// Callers must not mutate the returned slice.
-func (s *Server) corpusRecords() ([]sweep.Record, error) {
-	s.corpusMu.Lock()
-	defer s.corpusMu.Unlock()
-	n := s.store.Len()
-	if s.corpus != nil && n == s.corpusLen {
-		return s.corpus, nil
-	}
-	var recs []sweep.Record
-	err := s.store.Scan(func(key string, res *core.Result) error {
-		recs = append(recs, sweep.NewRecord(res))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sweep.SortRecords(recs)
-	// A walker run and a trace replay of the same configuration memoize
-	// under distinct keys but flatten to the identical record; collapse
-	// exact duplicates so they cannot double-count in aggregates.
-	recs = dedupe(recs)
-	s.corpus, s.corpusLen = recs, n
-	return recs, nil
-}
-
-// dedupe removes exact-duplicate adjacent records (the slice is sorted,
-// so equal records are adjacent).
-func dedupe(recs []sweep.Record) []sweep.Record {
-	out := recs[:0]
-	for _, r := range recs {
-		if len(out) == 0 || r != out[len(out)-1] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // parseFilter builds a sweep.Filter from query parameters. Every dimension

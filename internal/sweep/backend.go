@@ -28,8 +28,8 @@ type Backend interface {
 }
 
 // Scanner is the optional Backend extension for enumerating stored
-// results in a deterministic (insertion) order; the query endpoints of the
-// HTTP service are built on it.
+// results in a deterministic (insertion) order; Store.Records, and through
+// it the query endpoints of the HTTP service, are built on it.
 type Scanner interface {
 	Scan(fn func(key string, res *core.Result) error) error
 }

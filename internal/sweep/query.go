@@ -80,7 +80,9 @@ func (f Filter) Match(r Record) bool {
 
 // Apply returns the records matching f, in their incoming order.
 func (f Filter) Apply(recs []Record) []Record {
-	out := make([]Record, 0, len(recs))
+	// Grown by append, so a narrow filter over a large corpus allocates
+	// only what it returns; never nil, so no match encodes as [].
+	out := []Record{}
 	for _, r := range recs {
 		if f.Match(r) {
 			out = append(out, r)

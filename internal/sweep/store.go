@@ -17,6 +17,10 @@ import (
 // process (bad trace file, impossible geometry) is retried by the next
 // one. One Store shared across experiments gives cross-experiment
 // memoization of common baselines.
+//
+// The Store also holds the decoded corpus behind Records: built by one
+// full scan on the first call and kept current from then on by folding
+// in each result the Store itself persists.
 type Store struct {
 	backend Backend
 
@@ -26,6 +30,16 @@ type Store struct {
 	hits     int64
 	misses   int64
 	bErr     error
+
+	// corpusMu makes each backend Put and its pending append one step,
+	// and Records takes it around Len, so the entry count always agrees
+	// with corpus plus pending unless something wrote around the Store.
+	corpusMu  sync.Mutex //wclint:lockrank 32
+	built     bool       // corpus exists; until then Puts record nothing
+	corpus    []Record   // sorted, exact duplicates collapsed; never mutated
+	pending   []Record   // persisted since the last Records call, in log order
+	corpusLen int        // backend entries that corpus and pending account for
+	rescans   int64      // full rebuilds
 }
 
 type entry struct {
@@ -145,13 +159,26 @@ func (s *Store) ResultGated(cfg core.Config, gate Gate) (*core.Result, error) {
 func (s *Store) simulate(cfg core.Config, key string) (*core.Result, error) {
 	res, err := core.Run(cfg)
 	if err == nil {
-		if perr := s.backend.Put(key, res); perr != nil {
+		if perr := s.persist(key, res); perr != nil {
 			// The simulation is good; losing the write costs future
 			// processes a re-simulation, not this caller its result.
 			s.noteBackendErr(perr)
 		}
 	}
 	return res, err
+}
+
+// persist stores res and, once a corpus exists, queues its record for
+// the next Records call.
+func (s *Store) persist(key string, res *core.Result) error {
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
+	err := s.backend.Put(key, res)
+	if err == nil && s.built {
+		s.pending = append(s.pending, NewRecord(res))
+		s.corpusLen++
+	}
+	return err
 }
 
 func (s *Store) noteBackendErr(err error) {
@@ -191,12 +218,85 @@ func (s *Store) BackendErr() error {
 	return s.bErr
 }
 
-// Scan enumerates the backend's completed results in its deterministic
-// order, when the backend supports enumeration (Memory, resultdb and
-// Tiered all do).
-func (s *Store) Scan(fn func(key string, res *core.Result) error) error {
-	if sc, ok := s.backend.(Scanner); ok {
-		return sc.Scan(fn)
+// Records returns every stored result flattened to a Record, sorted with
+// SortRecords, with exact duplicates collapsed: a walker run and a trace
+// replay of the same configuration memoize under distinct keys but
+// flatten to the identical record, and must not double-count in
+// aggregates. The first call decodes the whole backend; later calls fold
+// in the results the Store persisted since, and rescan only when the
+// backend grew by writes that went around the Store. The returned slice
+// is shared and never mutated; callers must not mutate it either.
+func (s *Store) Records() ([]Record, error) {
+	sc, ok := s.backend.(Scanner)
+	if !ok {
+		return nil, nil // a backend that cannot enumerate has no corpus
 	}
-	return nil
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
+	n := s.backend.Len()
+	if !s.built || n != s.corpusLen {
+		return s.rebuild(sc, n)
+	}
+	if len(s.pending) > 0 {
+		SortRecords(s.pending)
+		s.corpus = mergeRecords(s.corpus, s.pending)
+		s.pending = s.pending[:0]
+	}
+	return s.corpus, nil
+}
+
+// rebuild decodes the whole backend, which holds n entries, into a fresh
+// corpus. The caller holds corpusMu, so no Store write lands mid-scan.
+func (s *Store) rebuild(sc Scanner, n int) ([]Record, error) {
+	var recs []Record
+	err := sc.Scan(func(key string, res *core.Result) error {
+		recs = append(recs, NewRecord(res))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	SortRecords(recs)
+	s.corpus = dedupeRecords(recs)
+	s.pending = nil
+	s.corpusLen = n
+	s.built = true
+	s.rescans++
+	return s.corpus, nil
+}
+
+// CorpusStats reports the corpus as the last Records call left it: its
+// record count and how many full rebuilds it has taken.
+func (s *Store) CorpusStats() (records int, rescans int64) {
+	s.corpusMu.Lock()
+	defer s.corpusMu.Unlock()
+	return len(s.corpus), s.rescans
+}
+
+// mergeRecords merges sorted add into sorted old as a new slice, old
+// untouched. Each added record goes after the old ones it compares equal
+// to, which is where a stable sort of the backend's log order puts it.
+func mergeRecords(old, add []Record) []Record {
+	out := make([]Record, 0, len(old)+len(add))
+	i := 0
+	for _, r := range add {
+		for i < len(old) && CompareRecords(old[i], r) <= 0 {
+			out = append(out, old[i])
+			i++
+		}
+		out = append(out, r)
+	}
+	return dedupeRecords(append(out, old[i:]...))
+}
+
+// dedupeRecords removes adjacent exact duplicates in place (the slice is
+// sorted, so equal records are adjacent).
+func dedupeRecords(recs []Record) []Record {
+	out := recs[:0]
+	for _, r := range recs {
+		if len(out) == 0 || r != out[len(out)-1] {
+			out = append(out, r)
+		}
+	}
+	return out
 }
