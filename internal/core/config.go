@@ -221,7 +221,7 @@ func (c Config) traceSource() (trace.Source, string, func() error, error) {
 	var err error
 	if hash, ok := trace.ParseRef(c.Trace); ok {
 		// Content-addressed reference: the store locates the bytes and the
-		// arena verifies them against the hash while decoding.
+		// arena verifies them against the hash before decoding.
 		if c.TraceStore == nil {
 			return nil, "", nil, fmt.Errorf("core: trace reference %s needs a trace store (-tracestore)", c.Trace)
 		}

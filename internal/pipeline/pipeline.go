@@ -134,7 +134,7 @@ type Pipeline struct {
 	// ROBSize. The per-seq timing state lives in dense parallel slices —
 	// doneAt (with the notDone sentinel), flags, producer seqs — so the
 	// commit/issue scans and the next-event min search walk contiguous
-	// typed memory; the 72-byte instruction payloads sit apart in insts
+	// typed memory; the 48-byte instruction payloads sit apart in insts
 	// and are touched only when an entry actually issues or commits.
 	doneAt []int64    // completion cycle; notDone until issued
 	flags  []uint8    // flagMispred | flagSrc1 | flagSrc2 | flagDst

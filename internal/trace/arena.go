@@ -18,6 +18,7 @@ package trace
 // the two paths byte-identical.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -28,7 +29,7 @@ import (
 )
 
 // DefaultArenaCap bounds the shared arena's resident instructions
-// (~64 bytes each, so the default keeps roughly 1 GB of decoded traces).
+// (48 bytes each, so the default keeps up to 768 MiB of decoded traces).
 // Long-lived processes (waycached) sweep many grids over the same handful
 // of captures; least-recently-used files are evicted past the cap.
 const DefaultArenaCap = 16 << 20
@@ -106,7 +107,7 @@ func (a *Arena) Load(path string) (*MemSource, error) {
 // same trace fetched to different paths on different hosts — or to a
 // store object and a scratch copy on one host — decodes exactly once, and
 // a later caller naming a different path for the same hash shares the
-// decode. The file's bytes are hashed while decoding and a mismatch is an
+// decode. The file's bytes are hashed before decoding and a mismatch is an
 // error, so content served under a hash is always the content the hash
 // names — no (size, mtime) heuristic is involved, and an overwrite that
 // preserves both cannot serve stale instructions.
@@ -160,67 +161,54 @@ func (a *Arena) finish(key string, e *arenaEntry) (*MemSource, error) {
 	return &MemSource{insts: e.insts, h: e.h, decodeErr: e.decodeErr}, nil
 }
 
-// decode slurps the whole file through the canonical Reader. A non-empty
-// wantHash makes the decode content-verified: every byte of the file is
-// fed through SHA-256 on the way in, and a final digest that differs from
-// wantHash turns the whole load into an open error — nothing is cached or
-// served under a hash the bytes do not carry.
+// decode reads the whole file, verifies it against wantHash when one is
+// given, and decodes its records in place into one preallocated slice. A
+// hash mismatch turns the whole load into an open error: nothing is
+// cached or served under a hash the bytes do not carry. The records go
+// through the same decoder as Reader, so the good prefix and the deferred
+// error of a corrupt file are exactly what streaming it would give.
 func (e *arenaEntry) decode(path, wantHash string) {
-	raw, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		e.openErr = err
 		return
 	}
-	defer raw.Close()
-
-	sum := sha256.New()
-	var src io.Reader = raw
+	br := bytes.NewReader(data)
+	h, err := readHeader(br)
+	if err != nil {
+		e.openErr = err
+		return
+	}
 	if wantHash != "" {
-		src = io.TeeReader(raw, sum)
+		// The hash names the whole file, including any bytes after the
+		// declared records.
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != wantHash {
+			e.openErr = fmt.Errorf("trace: %s content mismatch: bytes hash to %s, reference names %s",
+				path, ShortHash(got), ShortHash(wantHash))
+			return
+		}
 	}
-	r, err := NewReader(src)
-	if err != nil {
-		e.openErr = err
-		return
-	}
-	e.h = r.Header()
+	e.h = h
+	body := data[len(data)-br.Len():]
+
 	// Preallocate from the declared count, but never trust it past what
 	// the file could physically hold (records are at least one byte): a
 	// corrupt header must not drive a huge allocation.
-	size := e.size
-	if size == 0 {
-		if fi, err := raw.Stat(); err == nil {
-			size = fi.Size()
+	insts := make([]Inst, min(h.Insts, int64(len(body))))
+	d := decoder{declared: h.Insts}
+	for !d.done() {
+		if d.read == int64(len(insts)) { // undeclared count: grow
+			insts = append(insts, Inst{})
+			insts = insts[:cap(insts)]
 		}
-	}
-	if n := e.h.Insts; n > 0 {
-		if n > size {
-			n = size
+		n, ok := d.next(body, io.EOF, &insts[d.read])
+		if !ok {
+			break
 		}
-		e.insts = make([]Inst, 0, n)
+		body = body[n:]
 	}
-	var in Inst
-	for r.Next(&in) {
-		e.insts = append(e.insts, in)
-	}
-	e.decodeErr = r.Err()
-
-	if wantHash != "" {
-		// The Reader stops at the declared record count; any trailing
-		// bytes are still part of the content the hash names, so drain
-		// them through the tee before comparing digests.
-		if _, err := io.Copy(io.Discard, src); err != nil {
-			e.openErr = fmt.Errorf("trace: reading %s for hash verification: %w", path, err)
-			e.insts, e.decodeErr = nil, nil
-			return
-		}
-		if got := hex.EncodeToString(sum.Sum(nil)); got != wantHash {
-			e.openErr = fmt.Errorf("trace: %s content mismatch: bytes hash to %s, reference names %s",
-				path, ShortHash(got), ShortHash(wantHash))
-			e.insts, e.decodeErr = nil, nil
-			return
-		}
-	}
+	e.insts, e.decodeErr = insts[:d.read], d.err
 }
 
 // evictLocked drops least-recently-used entries until the arena is within

@@ -1,0 +1,106 @@
+package trace_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"waycache/internal/trace"
+	"waycache/internal/workload"
+)
+
+// suiteInsts is the length of one suite capture in a replayed sweep.
+const suiteInsts = 150_000
+
+// suiteCapture encodes the first n instructions of the gcc walker.
+func suiteCapture(tb testing.TB, n int64) []byte {
+	tb.Helper()
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	h := trace.Header{Benchmark: p.Name, Seed: p.Seed, Insts: n}
+	if _, err := trace.Capture(&buf, h, p.NewWalker()); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReaderNextZeroAllocs pins the streaming decode as allocation-free:
+// draining a whole capture through Reader.Next allocates nothing once the
+// Reader is open.
+func TestReaderNextZeroAllocs(t *testing.T) {
+	const n, runs = 20_000, 5
+	data := suiteCapture(t, n)
+	readers := make([]*trace.Reader, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range readers {
+		r, err := trace.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers[i] = r
+	}
+	var in trace.Inst
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		r := readers[next]
+		next++
+		for r.Next(&in) {
+		}
+	})
+	for _, r := range readers {
+		if r.Err() != nil || r.Count() != n {
+			t.Fatalf("decoded %d of %d records: %v", r.Count(), n, r.Err())
+		}
+	}
+	if avg != 0 {
+		t.Fatalf("draining a %d-record capture made %.0f allocations, want 0", n, avg)
+	}
+}
+
+// BenchmarkReaderNext streams a suite-sized capture through Reader.Next.
+func BenchmarkReaderNext(b *testing.B) {
+	data := suiteCapture(b, suiteInsts)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var in trace.Inst
+	for i := 0; i < b.N; i++ {
+		r, err := trace.NewReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r.Next(&in) {
+		}
+		if r.Err() != nil || r.Count() != suiteInsts {
+			b.Fatalf("decoded %d records: %v", r.Count(), r.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteInsts), "ns/inst")
+}
+
+// BenchmarkArenaLoad loads a suite-sized capture file through a fresh
+// arena: the read, the header parse and the in-place decode a replayed
+// sweep pays once per capture.
+func BenchmarkArenaLoad(b *testing.B) {
+	data := suiteCapture(b, suiteInsts)
+	path := filepath.Join(b.TempDir(), "gcc"+trace.FileExt)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := trace.NewArena(0).Load(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if src.Err() != nil || src.Remaining() != suiteInsts {
+			b.Fatalf("loaded %d records: %v", src.Remaining(), src.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteInsts), "ns/inst")
+}

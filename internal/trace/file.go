@@ -10,6 +10,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -221,12 +222,11 @@ func (w *Writer) Close() error {
 // false, Err distinguishes clean end-of-trace (nil) from corruption or a
 // truncated file.
 type Reader struct {
-	r        *bufio.Reader
-	h        Header
-	read     int64
-	nextPC   uint64
-	prevAddr uint64
-	err      error
+	r   *bufio.Reader
+	h   Header
+	win []byte // the undecoded tail of r's buffered bytes
+	end error  // the error that ended r's input once fewer than maxRecordLen bytes remain
+	dec decoder
 }
 
 // NewReader validates the magic and version and decodes the header.
@@ -236,10 +236,18 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{r: br, h: h}, nil
+	win, _ := br.Peek(br.Buffered())
+	return &Reader{r: br, h: h, win: win, dec: decoder{declared: h.Insts}}, nil
 }
 
-func readHeader(br *bufio.Reader) (Header, error) {
+// headerReader is the input readHeader parses: a streaming bufio.Reader
+// for Reader, an in-memory bytes.Reader for the arena.
+type headerReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func readHeader(br headerReader) (Header, error) {
 	var h Header
 	prefix := make([]byte, len(Magic)+1)
 	if _, err := io.ReadFull(br, prefix); err != nil {
@@ -294,111 +302,227 @@ func readHeader(br *bufio.Reader) (Header, error) {
 func (r *Reader) Header() Header { return r.h }
 
 // Count returns the number of records decoded so far.
-func (r *Reader) Count() int64 { return r.read }
+func (r *Reader) Count() int64 { return r.dec.read }
 
 // Err returns the first decode error, or nil if the trace ended cleanly.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) fail(format string, args ...any) bool {
-	r.err = fmt.Errorf("trace: record %d: %s", r.read, fmt.Sprintf(format, args...))
-	return false
-}
-
-func (r *Reader) varint() (int64, error) {
-	u, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return zigzagDecode(u), err
-}
+func (r *Reader) Err() error { return r.dec.err }
 
 // Next implements Source: it decodes the next record into *out, returning
 // false at end of trace or on error (see Err).
+//
+//wclint:hotpath
 func (r *Reader) Next(out *Inst) bool {
-	if r.err != nil {
+	if r.dec.done() {
 		return false
 	}
-	if r.h.Insts > 0 && r.read >= r.h.Insts {
-		return false
+	if len(r.win) < maxRecordLen {
+		r.fill()
 	}
-	op, err := r.r.ReadByte()
-	if err == io.EOF {
-		if r.h.Insts > 0 {
-			return r.fail("file ends after %d of %d declared records", r.read, r.h.Insts)
-		}
-		return false
+	n, ok := r.dec.next(r.win, r.end, out)
+	r.win = r.win[n:]
+	return ok
+}
+
+// fill discards the decoded bytes from r.r and refills the window to at
+// least maxRecordLen bytes, or to the end of input. The error ending the
+// input is kept until the window drains, as bufio keeps a read error
+// behind the bytes buffered before it. Only io.EOF at an empty window is
+// retried, so a clean end is re-checked on every call, as a byte-at-a-time
+// reader would.
+func (r *Reader) fill() {
+	r.r.Discard(r.r.Buffered() - len(r.win))
+	if r.end == nil || len(r.win) == 0 && r.end == io.EOF {
+		_, r.end = r.r.Peek(maxRecordLen)
 	}
-	if err != nil {
-		r.err = err
-		return false
+	r.win, _ = r.r.Peek(r.r.Buffered())
+}
+
+// maxRecordLen bounds one encoded record: the opcode, a PC delta, three
+// register bytes and at most three payload varints (address delta, offset
+// and base-value delta). A window of this many bytes always holds a whole
+// record, or enough of one to reject it.
+const maxRecordLen = 1 + binary.MaxVarintLen64 + 3 + 3*binary.MaxVarintLen64
+
+// errVarintOverflow is the text binary.ReadUvarint reports for a varint
+// longer than 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// decoder is the state of one record stream: the declared count, the
+// records decoded so far, the delta bases and the first error. Reader
+// and the arena both decode through it, so the record grammar and the
+// end-of-stream rules live here alone.
+type decoder struct {
+	declared int64 // Header.Insts; 0 means read to end of input
+	read     int64
+	nextPC   uint64 // expected PC of the next record
+	prevAddr uint64
+	err      error
+}
+
+// done reports whether the stream is over: an error was recorded or the
+// declared count was reached (trailing bytes are left unread).
+func (d *decoder) done() bool {
+	return d.err != nil || d.declared > 0 && d.read >= d.declared
+}
+
+// next decodes the record at the head of b into *out and returns the
+// bytes it occupies. b holds at least maxRecordLen bytes unless the input
+// ends within them; end is then the error that ended it (io.EOF for a
+// clean end of file). next returns false at the end of the stream or on
+// error (see d.err), writing *out only on success. Call it only while
+// !d.done(). Errors read exactly as a byte-at-a-time stream decode reports
+// them.
+//
+//wclint:hotpath
+func (d *decoder) next(b []byte, end error, out *Inst) (int, bool) {
+	if len(b) == 0 {
+		return 0, d.stop(end)
 	}
+	op := b[0]
 	kind := isa.Kind(op & opKindMask)
 	if int(kind) >= isa.NumKinds {
-		return r.fail("invalid kind %d", kind)
+		return 0, d.badOp(op)
 	}
-	*out = Inst{Kind: kind}
-	pc := r.nextPC
+	in := Inst{PC: d.nextPC, Kind: kind}
+	n := 1
+	var v int64
 	if op&opPCDelta != 0 {
-		d, err := r.varint()
-		if err != nil {
-			return r.fail("pc delta: %v", err)
+		if v, n = varintAt(b, n); n <= 0 {
+			return 0, d.badVarint("pc delta", n, end)
 		}
-		pc += uint64(d)
+		in.PC += uint64(v)
 	}
-	out.PC = pc
 	if op&opRegs != 0 {
-		var regs [3]byte
-		if _, err := io.ReadFull(r.r, regs[:]); err != nil {
-			return r.fail("registers: %v", err)
+		if len(b)-n < 3 {
+			return 0, d.badRegs(len(b)-n, end)
 		}
-		out.Dst, out.Src1, out.Src2 = isa.Reg(regs[0]), isa.Reg(regs[1]), isa.Reg(regs[2])
+		in.Dst, in.Src1, in.Src2 = isa.Reg(b[n]), isa.Reg(b[n+1]), isa.Reg(b[n+2])
+		n += 3
 	}
 	switch {
 	case kind.IsMem():
 		if op&opTaken != 0 {
-			return r.fail("taken flag on memory kind %s", kind)
+			return 0, d.badOp(op)
 		}
-		ad, err := r.varint()
-		if err != nil {
-			return r.fail("address delta: %v", err)
+		if v, n = varintAt(b, n); n <= 0 {
+			return 0, d.badVarint("address delta", n, end)
 		}
-		off, err := r.varint()
-		if err != nil {
-			return r.fail("offset: %v", err)
+		in.Addr = d.prevAddr + uint64(v)
+		if v, n = varintAt(b, n); n <= 0 {
+			return 0, d.badVarint("offset", n, end)
 		}
-		if off < math.MinInt32 || off > math.MaxInt32 {
-			return r.fail("offset %d outside int32", off)
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return 0, d.badOffset(v)
 		}
-		addr := r.prevAddr + uint64(ad)
-		out.Addr = addr
-		out.Offset = int32(off)
-		out.BaseValue = addr - uint64(off)
+		in.Offset = int32(v)
+		in.BaseValue = in.Addr - uint64(v)
 		if op&opBaseValue != 0 {
-			bd, err := r.varint()
-			if err != nil {
-				return r.fail("base value delta: %v", err)
+			if v, n = varintAt(b, n); n <= 0 {
+				return 0, d.badVarint("base value delta", n, end)
 			}
-			out.BaseValue = addr + uint64(bd)
+			in.BaseValue = in.Addr + uint64(v)
 		}
-		r.prevAddr = addr
+		d.prevAddr = in.Addr
 	case kind.IsControl():
 		if op&opBaseValue != 0 {
-			return r.fail("base-value flag on control kind %s", kind)
+			return 0, d.badOp(op)
 		}
-		td, err := r.varint()
-		if err != nil {
-			return r.fail("target delta: %v", err)
+		if v, n = varintAt(b, n); n <= 0 {
+			return 0, d.badVarint("target delta", n, end)
 		}
-		out.Target = pc + uint64(td)
-		out.Taken = op&opTaken != 0
+		in.Target = in.PC + uint64(v)
+		in.Taken = op&opTaken != 0
 	default:
 		if op&(opTaken|opBaseValue) != 0 {
-			return r.fail("payload flags %#x on compute kind %s", op&(opTaken|opBaseValue), kind)
+			return 0, d.badOp(op)
 		}
 	}
-	r.nextPC = pc + isa.InstBytes
-	r.read++
-	return true
+	d.nextPC = in.PC + isa.InstBytes
+	d.read++
+	*out = in
+	return n, true
+}
+
+// varintAt decodes the zigzag varint at b[n:], returning it and the
+// offset just past it. The offset is 0 when b ends inside the varint and
+// -1 when the varint is longer than 64 bits.
+func varintAt(b []byte, n int) (int64, int) {
+	u, m := binary.Uvarint(b[n:])
+	switch {
+	case m > 0:
+		return zigzagDecode(u), n + m
+	case m == 0 && len(b)-n < binary.MaxVarintLen64:
+		return 0, 0
+	}
+	return 0, -1
+}
+
+// The error paths of next, kept out of the hot path.
+
+// stop ends the stream at a record boundary: cleanly at end of file
+// unless the header declared more records, and with the input's own error
+// otherwise.
+func (d *decoder) stop(end error) bool {
+	switch {
+	case end != io.EOF:
+		d.err = end
+	case d.declared > 0:
+		d.fail("file ends after %d of %d declared records", d.read, d.declared)
+	}
+	return false
+}
+
+// badOp reports an opcode with an invalid kind or a flag bit meaningless
+// for its kind.
+func (d *decoder) badOp(op byte) bool {
+	kind := isa.Kind(op & opKindMask)
+	switch {
+	case int(kind) >= isa.NumKinds:
+		return d.fail("invalid kind %d", kind)
+	case kind.IsMem():
+		return d.fail("taken flag on memory kind %s", kind)
+	case kind.IsControl():
+		return d.fail("base-value flag on control kind %s", kind)
+	}
+	return d.fail("payload flags %#x on compute kind %s", op&(opTaken|opBaseValue), kind)
+}
+
+// badVarint reports a varint field that the input's end cuts short
+// (state 0) or that overflows 64 bits (state -1). A cut at end of file is
+// io.ErrUnexpectedEOF even before the field's first byte.
+func (d *decoder) badVarint(field string, state int, end error) bool {
+	err := errVarintOverflow
+	if state == 0 {
+		err = end
+		if end == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	return d.fail("%s: %v", field, err)
+}
+
+// badRegs reports register bytes that the input's end cuts short after
+// have of the three, with io.ReadFull's errors: io.EOF when none are
+// present, io.ErrUnexpectedEOF when some are.
+func (d *decoder) badRegs(have int, end error) bool {
+	err := end
+	if have > 0 && end == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return d.fail("registers: %v", err)
+}
+
+// badOffset reports a memory offset outside int32. It is small enough to
+// inline, which would move its boxing of off into next.
+//
+//go:noinline
+func (d *decoder) badOffset(off int64) bool {
+	return d.fail("offset %d outside int32", off)
+}
+
+func (d *decoder) fail(format string, args ...any) bool {
+	d.err = fmt.Errorf("trace: record %d: %s", d.read, fmt.Sprintf(format, args...))
+	return false
 }
 
 // File is an open trace file: a Reader over the file plus its handle.

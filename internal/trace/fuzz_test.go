@@ -2,17 +2,21 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"waycache/internal/isa"
 )
 
 // FuzzTraceReader throws arbitrary bytes at the .wct decoder. A reader
-// fed garbage must fail cleanly (error, never panic); and whenever it
-// decodes a stream cleanly, the decoded records must re-encode through
-// Writer — the reader's flag validation guarantees every accepted
-// record is one the writer could have produced — and decode again to
-// the identical instruction sequence.
+// fed garbage must fail cleanly (error, never panic). The arena, loading
+// the same bytes from a file, must agree with the streaming reader: the
+// same header error, or the same header, records and deferred error.
+// And whenever the reader decodes a stream cleanly, the decoded records
+// must re-encode through Writer — the reader's flag validation
+// guarantees every accepted record is one the writer could have
+// produced — and decode again to the identical instruction sequence.
 func FuzzTraceReader(f *testing.F) {
 	// Seed: a well-formed capture touching every record class (compute,
 	// zero- and nonzero-offset memory, control with and without PC
@@ -42,16 +46,38 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte(Magic))      // magic without version or header
 	f.Add([]byte{})
 
+	path := filepath.Join(f.TempDir(), "fuzz"+FileExt) // inputs run one at a time per process
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mem, loadErr := NewArena(0).Load(path)
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
-			return // rejected at the header: the only requirement is no panic
+			if loadErr == nil || loadErr.Error() != err.Error() {
+				t.Fatalf("reader rejects the header with %q, arena load returns %v", err, loadErr)
+			}
+			return // rejected at the header: otherwise the only requirement is no panic
+		}
+		if loadErr != nil {
+			t.Fatalf("arena rejects a header the reader accepts: %v", loadErr)
 		}
 		h := r.Header()
-		var insts []Inst
-		var in Inst
-		for r.Next(&in) {
-			insts = append(insts, in)
+		insts := drain(r)
+		if mem.Header() != h {
+			t.Fatalf("arena header %+v, reader header %+v", mem.Header(), h)
+		}
+		replayed := drain(mem)
+		if len(replayed) != len(insts) {
+			t.Fatalf("arena replays %d records, reader decodes %d", len(replayed), len(insts))
+		}
+		for i := range insts {
+			if replayed[i] != insts[i] {
+				t.Fatalf("record %d: arena %+v, reader %+v", i, replayed[i], insts[i])
+			}
+		}
+		if errText(mem.Err()) != errText(r.Err()) {
+			t.Fatalf("arena error %q, reader error %q", errText(mem.Err()), errText(r.Err()))
 		}
 		if r.Err() != nil {
 			return // corrupt tail after a valid prefix: clean failure is enough
@@ -84,4 +110,11 @@ func FuzzTraceReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
 }

@@ -82,7 +82,7 @@ type Source interface {
 // consumer may inspect a contiguous prefix of the remaining instructions
 // without copying them and consume any leading part of it in one step.
 // Batch consumers (the pipeline's front end) read whole fetch strides
-// straight out of the window instead of pulling one 72-byte record per
+// straight out of the window instead of pulling one 48-byte record per
 // Next call.
 //
 // Window returns a non-empty contiguous prefix of the remaining stream, or

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Bench smoke: one iteration of every top-level benchmark with -benchmem,
-# proving the harness runs end to end and the custom metrics (ed_*,
-# accuracies) keep computing — plus a perf regression tripwire on the
-# headline pipeline benchmark.
+# Bench smoke: one iteration of every top-level benchmark and of the
+# trace decode benchmarks with -benchmem, proving the harness runs end to
+# end and the custom metrics (ed_*, accuracies, ns/inst) keep computing —
+# plus a perf regression tripwire on the headline pipeline benchmark.
 #
 # BenchmarkTable5's single-iteration time is compared against the baseline
 # committed in BENCH_PR8.json. The comparison only *fails* the build when
@@ -16,6 +16,8 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 go test -bench . -benchtime=1x -benchmem -run '^$' . | tee "$out"
+# The trace decode path (Reader.Next and the arena's bulk load).
+go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/trace
 
 t5=$(awk '/^BenchmarkTable5/ {print $3; exit}' "$out")
 if [ -z "$t5" ]; then
