@@ -29,11 +29,12 @@
 // The grid is the cartesian product of every dimension flag; omitted
 // dimensions stay at the paper's Table 1 defaults. Output (JSON or CSV)
 // is ordered by grid position, so it is byte-identical for any -workers
-// value. Shards 0/n..n-1/n keep that order: their CSV bodies (headers
-// stripped) concatenate to the exact full-grid body, and their JSON
-// arrays merge element-wise into the full-grid array — the property the
-// distributed coordinator (cmd/sweepctl, docs/DISTRIBUTED.md) is built
-// on. Interrupting (ctrl-C) cancels the sweep promptly.
+// value. Shards 0/n..n-1/n (the spans sweep.SpanOf cuts) keep that
+// order: their CSV bodies (headers stripped) concatenate to the exact
+// full-grid body, and their JSON arrays merge element-wise into the
+// full-grid array — the property the distributed coordinator
+// (cmd/sweepctl, docs/DISTRIBUTED.md) is built on. Interrupting (ctrl-C)
+// cancels the sweep promptly.
 package main
 
 import (
@@ -108,7 +109,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfgs = sweep.Shard(cfgs, i, n)
+		lo, hi := sweep.SpanOf(len(cfgs), i, n)
+		cfgs = cfgs[lo:hi]
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -172,7 +172,7 @@ func runExport(format, bench, out string, n int64) error {
 	if err != nil {
 		return err
 	}
-	wrote, err := exp(f, trace.NewLimit(p.NewWalker(), n), n)
+	wrote, err := exp(f, p.NewWalker(), n)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

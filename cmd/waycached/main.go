@@ -16,8 +16,9 @@
 // Endpoints (full reference with examples in docs/HTTP_API.md):
 //
 //	POST   /api/v1/jobs                 submit a sweep.Grid JSON body,
-//	                                    optionally one shard ("shard":"i/n")
-//	                                    under a client-supplied "name"
+//	                                    optionally one config range
+//	                                    ("span":"lo-hi") under a
+//	                                    client-supplied "name"
 //	GET    /api/v1/jobs                 list jobs
 //	GET    /api/v1/jobs/{id}            poll one job's progress
 //	POST   /api/v1/jobs/{id}/cancel     cancel a queued or running job
@@ -51,8 +52,8 @@
 // per token name; without it, per remote host.
 //
 // Several waycached instances form the worker fleet of a distributed
-// sweep: cmd/sweepctl splits a grid into deterministic shards, runs one
-// shard job per host, and merges the exports byte-identically (see
+// sweep: cmd/sweepctl splits a grid into deterministic spans, runs one
+// span job per host, and merges the exports byte-identically (see
 // docs/DISTRIBUTED.md).
 package main
 

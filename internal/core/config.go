@@ -181,7 +181,7 @@ func (c Config) costsFor(size, ways, block int) (energy.Costs, error) {
 // source builds the trace source. The returned finish func (nil for
 // in-memory sources) releases the source and surfaces any streaming error
 // once the run has drained it.
-func (c Config) source() (src trace.Source, name string, finish func() error, err error) {
+func (c Config) source() (src trace.WindowSource, name string, finish func() error, err error) {
 	if c.Source != nil {
 		name := c.Benchmark
 		if name == "" {
@@ -203,9 +203,9 @@ func (c Config) source() (src trace.Source, name string, finish func() error, er
 }
 
 // sourceWindow is the generate-ahead buffer (in instructions) put in front
-// of non-window sources — live walkers and custom streams — so every run
-// feeds the pipeline's batch fetch path. Replayed captures window natively
-// and bypass it. 512 instructions is ~36KB: far past the fetch stride, far
+// of non-window sources — live walkers and custom streams — since the
+// pipeline fetches only from windows. Replayed captures window natively
+// and bypass it. 512 instructions is ~24KB: far past the fetch stride, far
 // below any cache budget that matters.
 const sourceWindow = 512
 
@@ -216,7 +216,7 @@ const sourceWindow = 512
 // that benchmark. Replay is byte-identical to streaming the file: the same
 // records in the same order, with decode errors surfaced only if the run
 // actually consumes the corrupt range.
-func (c Config) traceSource() (trace.Source, string, func() error, error) {
+func (c Config) traceSource() (trace.WindowSource, string, func() error, error) {
 	var src *trace.MemSource
 	var err error
 	if hash, ok := trace.ParseRef(c.Trace); ok {

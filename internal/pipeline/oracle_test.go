@@ -365,8 +365,8 @@ func (r *reference) fetchControl(in *trace.Inst, block uint64, blockWay int) boo
 	panic("reference: non-control kind in fetchControl")
 }
 
-// nextOnly hides a source's window methods, forcing the per-instruction
-// Next path (what a live walker looks like to the pipeline).
+// nextOnly hides a source's window methods, leaving the per-instruction
+// Next interface a live walker has.
 type nextOnly struct{ src trace.Source }
 
 func (n *nextOnly) Next(out *trace.Inst) bool { return n.src.Next(out) }
@@ -393,8 +393,9 @@ func oracleRig(policy access.DPolicy, dsize, isize int) (access.DController, *ac
 // TestOracleEquivalence is the differential property test: random machine
 // shapes (including non-power-of-two ROBs and single-entry LSQs and
 // ports) × every d-cache policy × real workload streams, event-driven
-// Stats must equal the cycle-stepping reference's exactly — through the
-// per-Next path, the windowed path, and a .wct capture replay.
+// Stats must equal the cycle-stepping reference's exactly — through a
+// Next-only source behind trace.Buffered, the windowed path, and a .wct
+// capture replay.
 func TestOracleEquivalence(t *testing.T) {
 	policies := []access.DPolicy{
 		access.DParallel, access.DSequential,
@@ -442,26 +443,31 @@ func TestOracleEquivalence(t *testing.T) {
 			dsize := sizes[rng.Intn(len(sizes))]
 			isize := sizes[rng.Intn(len(sizes))]
 
-			run := func(src trace.Source, ref bool) Stats {
-				dc, ic, fe := oracleRig(policy, dsize, isize)
-				if ref {
-					return referenceRun(cfg, src, dc, ic, fe)
-				}
-				return New(cfg, src, dc, ic, fe).Run()
+			// A live walker reaches the pipeline through trace.Buffered; a
+			// random buffer size lands window refills at arbitrary stream
+			// offsets, and the first trial pins 1-instruction windows.
+			bufCap := 1 + rng.Intn(64)
+			if trial == 1 {
+				bufCap = 1
 			}
 
-			want := run(&nextOnly{&trace.SliceSource{Insts: insts}}, true)
+			dc, ic, fe := oracleRig(policy, dsize, isize)
+			want := referenceRun(cfg, &nextOnly{&trace.SliceSource{Insts: insts}}, dc, ic, fe)
+			run := func(src trace.WindowSource) Stats {
+				dc, ic, fe := oracleRig(policy, dsize, isize)
+				return New(cfg, src, dc, ic, fe).Run()
+			}
 			ctx := func(leg string) string {
 				return leg + " policy=" + policy.String() + " bench=" + bench
 			}
-			if got := run(&nextOnly{&trace.SliceSource{Insts: insts}}, false); got != want {
-				t.Errorf("%s:\n got %+v\nwant %+v\ncfg %+v", ctx("next-path"), got, want, cfg)
+			if got := run(trace.Windowed(&nextOnly{&trace.SliceSource{Insts: insts}}, bufCap)); got != want {
+				t.Errorf("%s (buffer %d):\n got %+v\nwant %+v\ncfg %+v", ctx("next-path"), bufCap, got, want, cfg)
 			}
-			if got := run(trace.NewLimit(&trace.SliceSource{Insts: insts}, n), false); got != want {
+			if got := run(trace.NewLimit(&trace.SliceSource{Insts: insts}, n)); got != want {
 				t.Errorf("%s:\n got %+v\nwant %+v\ncfg %+v", ctx("window-path"), got, want, cfg)
 			}
 			if trial%4 == 0 {
-				if got := run(replaySource(t, bench, insts), false); got != want {
+				if got := run(replaySource(t, bench, insts)); got != want {
 					t.Errorf("%s:\n got %+v\nwant %+v\ncfg %+v", ctx("replay-path"), got, want, cfg)
 				}
 			}
@@ -471,8 +477,8 @@ func TestOracleEquivalence(t *testing.T) {
 
 // replaySource round-trips insts through an actual .wct capture file and
 // the shared decode arena — the exact production replay path (MemSource
-// behind a window-aware Limit).
-func replaySource(t *testing.T, bench string, insts []trace.Inst) trace.Source {
+// behind a Limit).
+func replaySource(t *testing.T, bench string, insts []trace.Inst) trace.WindowSource {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), bench+".wct")
 	f, err := os.Create(path)

@@ -23,8 +23,9 @@
 // differential oracle in oracle_test.go and the byte-identical golden
 // fixtures in CI enforce this). The ROB is laid out structure-of-arrays so
 // the commit/issue scans and the next-event search walk dense typed
-// slices, and sources that expose in-memory windows (trace.WindowSource)
-// feed fetch whole block strides without a per-instruction copy.
+// slices, and fetch reads whole block strides in place from the source's
+// in-memory window (trace.WindowSource; trace.Buffered windows a plain
+// Source) without a per-instruction copy.
 //
 // Simplifications, all orthogonal to the energy techniques under study and
 // applied identically to baselines and techniques: perfect memory
@@ -119,7 +120,7 @@ const (
 // Pipeline wires a trace source to the cache controllers and front end.
 type Pipeline struct {
 	cfg Config
-	src trace.Source
+	src trace.WindowSource
 	dc  access.DController
 	ic  *access.ICache
 	fe  *branch.FrontEnd
@@ -187,11 +188,8 @@ type Pipeline struct {
 	regProducer [isa.NumRegs]int64 // seq of last in-flight writer, -1 if none
 
 	// Fetch state.
-	pending     trace.Inst // lookahead instruction (non-window sources)
-	pendingOK   bool
-	batch       trace.WindowSource // non-nil when src exposes windows
-	win         []trace.Inst       // unconsumed prefix of the current window
-	winUsed     int                // consumed insts not yet reported to Advance
+	win         []trace.Inst // unconsumed prefix of the current window
+	winUsed     int          // consumed insts not yet reported to Advance
 	exhausted   bool
 	fetchableAt int64  // next cycle fetch may run
 	waitBranch  int64  // seq of unresolved mispredicted control, -1 if none
@@ -201,9 +199,10 @@ type Pipeline struct {
 	nextWay access.WayPred
 }
 
-// New builds a pipeline. dc and ic must be freshly constructed controllers;
-// fe the front end whose BTB/RAS/SAWP carry way predictions.
-func New(cfg Config, src trace.Source, dc access.DController, ic *access.ICache, fe *branch.FrontEnd) *Pipeline {
+// New builds a pipeline. src is read through its windows (trace.Windowed
+// adapts a plain Source); dc and ic must be freshly constructed
+// controllers; fe the front end whose BTB/RAS/SAWP carry way predictions.
+func New(cfg Config, src trace.WindowSource, dc access.DController, ic *access.ICache, fe *branch.FrontEnd) *Pipeline {
 	if cfg.ROBSize <= 0 || cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 ||
 		cfg.CommitWidth <= 0 || cfg.LSQSize <= 0 || cfg.DCachePorts <= 0 {
 		panic(fmt.Sprintf("pipeline: non-positive config %+v", cfg))
@@ -230,9 +229,6 @@ func New(cfg Config, src trace.Source, dc access.DController, ic *access.ICache,
 	}
 	for i := range p.regProducer {
 		p.regProducer[i] = -1
-	}
-	if ws, ok := src.(trace.WindowSource); ok {
-		p.batch = ws
 	}
 	return p
 }
@@ -535,30 +531,15 @@ func (p *Pipeline) issue() {
 	}
 }
 
-// peekInst returns the lookahead instruction without consuming it, pulling
-// from the source's window when it has one (no copy) and through the
-// single-instruction pending buffer otherwise.
+// peekInst returns the lookahead instruction without consuming it, in
+// place in the source's window.
 //
 //wclint:hotpath
 func (p *Pipeline) peekInst() (*trace.Inst, bool) {
-	if p.batch != nil {
-		if len(p.win) == 0 && !p.refillWindow() {
-			return nil, false
-		}
-		return &p.win[0], true
-	}
-	if p.pendingOK {
-		return &p.pending, true
-	}
-	if p.exhausted {
+	if len(p.win) == 0 && !p.refillWindow() {
 		return nil, false
 	}
-	if !p.src.Next(&p.pending) {
-		p.exhausted = true
-		return nil, false
-	}
-	p.pendingOK = true
-	return &p.pending, true
+	return &p.win[0], true
 }
 
 // refillWindow reports the consumed prefix to the source in one Advance
@@ -572,10 +553,10 @@ func (p *Pipeline) refillWindow() bool {
 		return false
 	}
 	if p.winUsed > 0 {
-		p.batch.Advance(p.winUsed)
+		p.src.Advance(p.winUsed)
 		p.winUsed = 0
 	}
-	p.win = p.batch.Window()
+	p.win = p.src.Window()
 	if len(p.win) == 0 {
 		p.exhausted = true
 		return false
@@ -588,12 +569,8 @@ func (p *Pipeline) refillWindow() bool {
 //
 //wclint:hotpath
 func (p *Pipeline) consumeInst() {
-	if p.batch != nil {
-		p.win = p.win[1:]
-		p.winUsed++
-		return
-	}
-	p.pendingOK = false
+	p.win = p.win[1:]
+	p.winUsed++
 }
 
 //wclint:hotpath
@@ -675,20 +652,16 @@ func (p *Pipeline) dispatch(in *trace.Inst, mispred bool) {
 
 // fetch runs one fetch group: a single i-cache access plus up to FetchWidth
 // instructions from the same cache block, ending early at a taken (or
-// mispredicted) control instruction. With a window source the whole
-// block stride is read in place from the source's memory.
+// mispredicted) control instruction. The whole block stride is read in
+// place from the source's window.
 //
 //wclint:hotpath
 func (p *Pipeline) fetch() {
 	if p.cycle < p.fetchableAt || p.waitBranch >= 0 {
 		return
 	}
-	var in *trace.Inst
-	if len(p.win) != 0 {
-		in = &p.win[0]
-	} else if pk, ok := p.peekInst(); ok {
-		in = pk
-	} else {
+	in, ok := p.peekInst()
+	if !ok {
 		return
 	}
 	if p.robFull() || p.lsq >= p.cfg.LSQSize {
@@ -711,15 +684,10 @@ func (p *Pipeline) fetch() {
 		if p.robFull() || p.lsq >= p.cfg.LSQSize {
 			break
 		}
-		// Window fast path, inline: most iterations take an instruction
-		// straight out of the current window; peekInst (not inlinable) is
-		// only reached at window boundaries and on non-window sources.
-		var in *trace.Inst
-		if len(p.win) != 0 {
-			in = &p.win[0]
-		} else if pk, ok := p.peekInst(); ok {
-			in = pk
-		} else {
+		// peekInst inlines to a window-length check; only a window
+		// boundary calls out to refillWindow.
+		in, ok := p.peekInst()
+		if !ok {
 			break
 		}
 		if in.PC&p.icBlockMask != block {

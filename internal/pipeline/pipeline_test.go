@@ -11,7 +11,7 @@ import (
 	"waycache/internal/trace"
 )
 
-func testRig(dpol access.DPolicy, ipol access.IPolicy, src trace.Source, maxInsts int64) *Pipeline {
+func testRig(dpol access.DPolicy, ipol access.IPolicy, src trace.WindowSource, maxInsts int64) *Pipeline {
 	hier := cache.DefaultHierarchy(32)
 	dc := access.NewDCache(access.DConfig{
 		Policy:      dpol,
@@ -77,7 +77,7 @@ func TestDependentChainSerializes(t *testing.T) {
 func TestLoadLatencyExposedOnChains(t *testing.T) {
 	// load -> use chains: sequential access (+1 cycle per load) must be
 	// measurably slower than parallel access on the same trace.
-	mk := func() trace.Source {
+	mk := func() trace.WindowSource {
 		// A pointer-chase kernel: each load's address depends on the
 		// previous load's result, so cache latency is fully serialized.
 		ld := trace.Inst{PC: 0x400000, Kind: isa.KindLoad, Dst: isa.Int(1), Src1: isa.Int(1),
@@ -99,7 +99,7 @@ func TestLoadLatencyExposedOnChains(t *testing.T) {
 func TestBranchMispredictionStallsFetch(t *testing.T) {
 	// Alternating branch outcomes with a *random* pattern are hard; every
 	// misprediction should cost fetch cycles relative to an untaken run.
-	mkBranches := func(taken func(i int) bool) trace.Source {
+	mkBranches := func(taken func(i int) bool) trace.WindowSource {
 		// The same static branch executed 300 times (a self-loop).
 		var insts []trace.Inst
 		for i := 0; i < 3000; i++ {

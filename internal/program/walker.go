@@ -15,7 +15,8 @@ const StackBase uint64 = 0x7fff_0000
 // Walker executes a Program's CFG and produces its dynamic instruction
 // stream. It is an infinite trace.Source: when the entry function returns,
 // the program restarts with data-stream state intact (modelling the outer
-// iteration loop of a benchmark). Wrap it in trace.Limit to bound runs.
+// iteration loop of a benchmark). Bound a run with
+// trace.NewLimit(trace.Windowed(w, cap), n).
 type Walker struct {
 	prog *Program
 	rng  *prng.Source

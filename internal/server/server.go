@@ -22,9 +22,9 @@
 // set the server requires bearer tokens and meters fair-share and rate
 // limits per token name; unset, it is open and meters per remote host.
 //
-// A submission may carry a shard spec ("i/n") and a client-supplied name:
-// the server expands the grid, runs only the i-th deterministic
-// sweep.Shard slice, and exports the shard's results in canonical
+// A submission may carry a span spec ("lo-hi") and a client-supplied name:
+// the server expands the grid, runs only the contiguous config range
+// [lo, hi), and exports the span's results in canonical
 // (core.EncodeResult) form — the building blocks the distributed
 // coordinator (internal/coord) fans out across hosts and merges
 // byte-identically. Every job owns a context: cancellation
@@ -64,7 +64,7 @@ import (
 const QueueCap = 256
 
 // MaxGridSize bounds a single submission's expanded configuration count.
-// Shard submissions are bounded by their full grid too: the server expands
+// Span submissions are bounded by their full grid too: the server expands
 // the whole grid before slicing it.
 const MaxGridSize = 1 << 20
 
@@ -239,11 +239,8 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	cfgs := j.grid.Configs()
-	switch {
-	case j.hasSpan:
+	if j.spanHi > 0 {
 		cfgs = cfgs[j.spanLo:j.spanHi]
-	case j.shardN > 0:
-		cfgs = sweep.Shard(cfgs, j.shardI, j.shardN)
 	}
 	// A fresh engine per job gives it a private progress feed and trace
 	// fallback report; the shared store still deduplicates simulations
@@ -269,22 +266,18 @@ func (s *Server) runJob(j *job) {
 	j.finish(cfgs, results, eng.TraceFallbacks(), err)
 }
 
-// job is one submitted grid (or grid shard/span) and its lifecycle.
+// job is one submitted grid (or grid span) and its lifecycle.
 type job struct {
 	id    string
 	name  string // optional client-supplied identity
 	owner string // authenticated submitter: the fair-share budget identity
 	grid  sweep.Grid
-	// shardN > 0 selects sweep.Shard(cfgs, shardI, shardN) of the
-	// expanded grid.
-	shardI, shardN int
-	// hasSpan selects cfgs[spanLo:spanHi] of the expanded grid — the
-	// range form shard re-splitting produces (a stolen remainder is an
-	// arbitrary contiguous range, not an i/n slice).
+	// spanHi > 0 selects cfgs[spanLo:spanHi] of the expanded grid: an
+	// initial coordinator piece (sweep.SpanOf) or a remainder stolen from
+	// a straggler, which is an arbitrary contiguous range.
 	spanLo, spanHi int
-	hasSpan        bool
 	total          int
-	// exportable jobs (named, sharded or spanned — the coordinator's)
+	// exportable jobs (named or spanned — the coordinator's)
 	// retain their canonical export entries after finishing; anonymous
 	// whole grid jobs keep only their Sweep, the pre-distribution
 	// footprint.
@@ -340,12 +333,8 @@ type JobStatus struct {
 	ID    string `json:"id"`
 	Name  string `json:"name,omitempty"`
 	State string `json:"state"`
-	// Shard is "i/n" when the job runs one deterministic shard of its
-	// grid rather than the whole expansion.
-	Shard string `json:"shard,omitempty"`
 	// Span is "lo-hi" when the job runs the contiguous config range
-	// [lo, hi) of its expanded grid (how a coordinator re-submits a
-	// stolen shard remainder).
+	// [lo, hi) of its expanded grid rather than the whole expansion.
 	Span  string `json:"span,omitempty"`
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
@@ -514,10 +503,7 @@ func (j *job) statusLocked() JobStatus {
 		Done: j.done, Total: j.total, Watermark: j.wm, Error: j.err,
 		TraceFallbacks: j.fallbacks,
 	}
-	if j.shardN > 0 {
-		st.Shard = sweep.FormatShard(j.shardI, j.shardN)
-	}
-	if j.hasSpan {
+	if j.spanHi > 0 {
 		st.Span = sweep.FormatSpan(j.spanLo, j.spanHi)
 	}
 	return st
@@ -579,28 +565,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // JobRequest is the submission body: a sweep.Grid, optionally narrowed to
-// one deterministic shard and tagged with a client-supplied name. It is
+// one contiguous span and tagged with a client-supplied name. It is
 // the one wire type both this server and the distributed coordinator
 // (internal/coord) marshal, so the two cannot drift.
 type JobRequest struct {
 	sweep.Grid
-	// Name is an optional client identity (e.g. "<sweep>-shard-3").
+	// Name is an optional client identity (e.g. "<run>-u0-4").
 	// Submitting a name that matches a live (non-terminal) job running
-	// the same grid and shard returns that job's status instead of
+	// the same grid and span returns that job's status instead of
 	// enqueueing a duplicate, so a client that lost a submission response
 	// can re-submit idempotently; the same name with different work is
 	// refused (409) rather than silently answered with someone else's
 	// sweep.
 	Name string `json:"name"`
-	// Shard is "i/n": run only the i-th of n contiguous shards of the
-	// expanded grid (sweep.Shard), whose concatenation in shard order is
-	// the full grid.
-	Shard string `json:"shard"`
 	// Span is "lo-hi": run only the contiguous config range [lo, hi) of
-	// the expanded grid. This is the work-unit form the elastic
-	// coordinator submits — an initial shard is sweep.SpanOf of the grid,
-	// and a remainder stolen from a straggler is whatever range was left.
-	// Mutually exclusive with Shard.
+	// the expanded grid. This is the work unit the elastic coordinator
+	// submits — an initial piece is sweep.SpanOf of the grid, and a
+	// remainder stolen from a straggler is whatever range was left.
+	// Spans of sweep.SpanOf(total, i, n) for i = 0..n-1 concatenate to
+	// the full grid.
 	Span string `json:"span"`
 }
 
@@ -626,23 +609,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	total := g.Size()
 	if total > MaxGridSize {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("grid expands to %d configurations (limit %d); shard it", total, MaxGridSize))
+			fmt.Errorf("grid expands to %d configurations (limit %d, for span submissions too); split the grid", total, MaxGridSize))
 		return
 	}
-	var shardI, shardN int
 	var spanLo, spanHi int
-	hasSpan := false
-	switch {
-	case req.Shard != "" && req.Span != "":
-		writeError(w, http.StatusBadRequest, errors.New("a submission carries a shard or a span, not both"))
-		return
-	case req.Shard != "":
-		if shardI, shardN, err = sweep.ParseShard(req.Shard); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		total = sweep.ShardLen(total, shardI, shardN)
-	case req.Span != "":
+	if req.Span != "" {
 		if spanLo, spanHi, err = sweep.ParseSpan(req.Span); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -652,7 +623,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("span %s exceeds the grid's %d configurations", req.Span, total))
 			return
 		}
-		hasSpan = true
 		total = spanHi - spanLo
 	}
 
@@ -671,12 +641,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if jj.name != req.Name || jj.doomed() {
 				continue
 			}
-			if !reflect.DeepEqual(jj.grid, g) || jj.shardI != shardI || jj.shardN != shardN ||
-				jj.hasSpan != hasSpan || jj.spanLo != spanLo || jj.spanHi != spanHi {
+			if !reflect.DeepEqual(jj.grid, g) || jj.spanLo != spanLo || jj.spanHi != spanHi {
 				st := jj.status()
 				s.mu.Unlock()
 				writeError(w, http.StatusConflict,
-					fmt.Errorf("job name %q is live as %s with a different grid or shard", req.Name, st.ID))
+					fmt.Errorf("job name %q is live as %s with a different grid or span", req.Name, st.ID))
 				return
 			}
 			s.mu.Unlock()
@@ -702,10 +671,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id: fmt.Sprintf("job-%d", s.nextID), name: req.Name,
 		owner: clientID(r),
-		grid:  g, shardI: shardI, shardN: shardN,
-		spanLo: spanLo, spanHi: spanHi, hasSpan: hasSpan,
+		grid:  g, spanLo: spanLo, spanHi: spanHi,
 		total: total, state: "queued",
-		exportable: req.Name != "" || shardN > 0 || hasSpan,
+		exportable: req.Name != "" || spanHi > 0,
 		ctx:        jctx, cancel: jcancel,
 		changed: make(chan struct{}),
 	}
@@ -824,7 +792,7 @@ func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 		// their records); exporting is the coordinator workflow, which
 		// always names its jobs.
 		writeError(w, http.StatusConflict,
-			fmt.Errorf("job %s was submitted without a name or shard and has no export; use /results", j.id))
+			fmt.Errorf("job %s was submitted without a name or span and has no export; use /results", j.id))
 		return
 	}
 	var (
@@ -864,7 +832,7 @@ func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 // The /api/v1/traces endpoints make every waycached host a node of the
 // content-addressed trace store: the coordinator (internal/coord) pushes
 // each referenced trace to the hosts that lack it before submitting
-// shard jobs, so a trace://<hash> sweep needs no pre-provisioned trace
+// span jobs, so a trace://<hash> sweep needs no pre-provisioned trace
 // directories anywhere. Objects are immutable and self-verifying — the
 // URL names the SHA-256 of the exact bytes — so PUT is idempotent and
 // replication can never serve the wrong trace.

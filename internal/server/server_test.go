@@ -499,88 +499,6 @@ func TestCancelReachesTerminalStateAndFreesBudget(t *testing.T) {
 	}
 }
 
-// TestShardJobsConcatenateToFullGrid: shard submissions run exactly the
-// deterministic sweep.Shard slices, and their outputs concatenate (CSV
-// bodies; export streams) to the full-grid run byte-for-byte.
-func TestShardJobsConcatenateToFullGrid(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	full := submit(t, ts.URL, testGridJSON)
-	pollDone(t, ts.URL, full.ID)
-	fullCSV, _ := fetch(t, ts.URL+"/api/v1/jobs/"+full.ID+"/results?format=csv")
-
-	cfgs := testGrid().Configs()
-	const n = 3
-	var bodies [][]byte
-	var allKeys []string
-	for i := 0; i < n; i++ {
-		body := fmt.Sprintf(`{"Benchmarks":["gcc","swim"],"DPolicies":["parallel","seldm+waypred"],"DWays":[2,4],"Insts":5000,"name":"part-%d","shard":"%d/%d"}`, i, i, n)
-		st := submit(t, ts.URL, body)
-		if want := sweep.ShardLen(len(cfgs), i, n); st.Total != want {
-			t.Errorf("shard %d total = %d, want %d", i, st.Total, want)
-		}
-		if want := fmt.Sprintf("%d/%d", i, n); st.Shard != want {
-			t.Errorf("shard field = %q, want %q", st.Shard, want)
-		}
-		st = pollDone(t, ts.URL, st.ID)
-
-		csv, _ := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/results?format=csv")
-		parts := bytes.SplitN(csv, []byte("\n"), 2)
-		if len(parts) != 2 {
-			t.Fatalf("shard %d CSV has no header row", i)
-		}
-		bodies = append(bodies, parts[1])
-
-		// Export: one NDJSON entry per config, keyed by the submitted
-		// config's canonical key, in shard order.
-		exp, resp := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/export")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shard %d export status = %d", i, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Errorf("export Content-Type = %q", ct)
-		}
-		dec := json.NewDecoder(bytes.NewReader(exp))
-		for {
-			var e ExportEntry
-			if err := dec.Decode(&e); err != nil {
-				break
-			}
-			if len(e.Result) == 0 {
-				t.Fatalf("shard %d export entry %q has no result", i, e.Key)
-			}
-			allKeys = append(allKeys, e.Key)
-		}
-	}
-
-	fullParts := bytes.SplitN(fullCSV, []byte("\n"), 2)
-	if !bytes.Equal(bytes.Join(bodies, nil), fullParts[1]) {
-		t.Error("concatenated shard CSV bodies differ from the full-grid CSV body")
-	}
-	if len(allKeys) != len(cfgs) {
-		t.Fatalf("exports hold %d entries, want %d", len(allKeys), len(cfgs))
-	}
-	for i, key := range allKeys {
-		want, _ := cfgs[i].Key()
-		if key != want {
-			t.Errorf("export key %d = %q, want %q", i, key, want)
-		}
-	}
-
-	// Bad shard specs are submission errors.
-	for _, bad := range []string{"3/3", "x", "-1/2", "1/0"} {
-		body := fmt.Sprintf(`{"Benchmarks":["gcc"],"Insts":5000,"shard":"%s"}`, bad)
-		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("shard %q status = %d, want 400", bad, resp.StatusCode)
-		}
-	}
-}
-
 // TestNamedSubmissionIdempotent: re-submitting a live job's name returns
 // the existing job instead of queueing duplicate work.
 func TestNamedSubmissionIdempotent(t *testing.T) {
@@ -621,12 +539,12 @@ func TestNamedSubmissionIdempotent(t *testing.T) {
 	post(t, ts.URL+"/api/v1/jobs/"+x1.ID+"/cancel")
 }
 
-// TestExportRequiresNamedOrShardJob: anonymous whole-grid jobs do not
+// TestExportRequiresNamedOrSpanJob: anonymous whole-grid jobs do not
 // retain export payloads; asking for them is a clear conflict, not a
-// silent empty stream.
-func TestExportRequiresNamedOrShardJob(t *testing.T) {
+// silent empty stream. A name or a span makes a job exportable.
+func TestExportRequiresNamedOrSpanJob(t *testing.T) {
 	_, ts := newTestServer(t)
-	st := submit(t, ts.URL, testGridJSON) // no name, no shard
+	st := submit(t, ts.URL, testGridJSON) // no name, no span
 	pollDone(t, ts.URL, st.ID)
 	body, resp := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/export")
 	if resp.StatusCode != http.StatusConflict {
@@ -636,11 +554,16 @@ func TestExportRequiresNamedOrShardJob(t *testing.T) {
 		t.Errorf("anonymous export error %q does not explain the name requirement", body)
 	}
 
-	named := submit(t, ts.URL, `{"Benchmarks":["gcc"],"Insts":5000,"name":"exp"}`)
-	pollDone(t, ts.URL, named.ID)
-	exp, resp := fetch(t, ts.URL+"/api/v1/jobs/"+named.ID+"/export")
-	if resp.StatusCode != http.StatusOK || len(exp) == 0 {
-		t.Errorf("named export = %d with %d bytes, want 200 and a stream", resp.StatusCode, len(exp))
+	for _, body := range []string{
+		`{"Benchmarks":["gcc"],"Insts":5000,"name":"exp"}`,
+		`{"Benchmarks":["gcc"],"Insts":5000,"span":"0-1"}`,
+	} {
+		st := submit(t, ts.URL, body)
+		pollDone(t, ts.URL, st.ID)
+		exp, resp := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/export")
+		if resp.StatusCode != http.StatusOK || len(exp) == 0 {
+			t.Errorf("export of %s = %d with %d bytes, want 200 and a stream", body, resp.StatusCode, len(exp))
+		}
 	}
 }
 

@@ -21,14 +21,19 @@ import (
 )
 
 // TestSpanJobsConcatenateToFullGrid: span submissions run exactly the
-// contiguous config ranges they name, and their exports concatenate to
-// the full-grid expansion in order — the invariant the coordinator's
-// merge rests on.
+// contiguous config ranges they name, and their outputs (CSV bodies;
+// export streams) concatenate to the full-grid run byte-for-byte and key
+// for key — the invariant the coordinator's merge rests on.
 func TestSpanJobsConcatenateToFullGrid(t *testing.T) {
 	_, ts := newTestServer(t)
 
+	full := submit(t, ts.URL, testGridJSON)
+	pollDone(t, ts.URL, full.ID)
+	fullCSV, _ := fetch(t, ts.URL+"/api/v1/jobs/"+full.ID+"/results?format=csv")
+
 	cfgs := testGrid().Configs()
 	const n = 3
+	var bodies [][]byte
 	var allKeys []string
 	for i := 0; i < n; i++ {
 		lo, hi := sweep.SpanOf(len(cfgs), i, n)
@@ -45,13 +50,27 @@ func TestSpanJobsConcatenateToFullGrid(t *testing.T) {
 			t.Errorf("finished span job watermark = %d, want %d", st.Watermark, hi-lo)
 		}
 
+		csv, _ := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/results?format=csv")
+		parts := bytes.SplitN(csv, []byte("\n"), 2)
+		if len(parts) != 2 {
+			t.Fatalf("span %d-%d CSV has no header row", lo, hi)
+		}
+		bodies = append(bodies, parts[1])
+
 		exp, resp := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/export")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("span %d-%d export status = %d", lo, hi, resp.StatusCode)
 		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("export Content-Type = %q", ct)
+		}
 		for _, e := range decodeExport(t, exp) {
 			allKeys = append(allKeys, e.Key)
 		}
+	}
+	fullParts := bytes.SplitN(fullCSV, []byte("\n"), 2)
+	if len(fullParts) != 2 || !bytes.Equal(bytes.Join(bodies, nil), fullParts[1]) {
+		t.Error("concatenated span CSV bodies differ from the full-grid CSV body")
 	}
 	if len(allKeys) != len(cfgs) {
 		t.Fatalf("span exports hold %d entries, want %d", len(allKeys), len(cfgs))
@@ -63,13 +82,16 @@ func TestSpanJobsConcatenateToFullGrid(t *testing.T) {
 		}
 	}
 
-	// Bad spans are submission errors: malformed, inverted, negative,
-	// out of grid range, or combined with a shard.
+	// Bad spans are submission errors: malformed, inverted, negative or
+	// out of grid range. "shard" is not a field of the submission body,
+	// so a shard submission, alone or beside a span, is refused rather
+	// than run as the whole grid.
 	for _, bad := range []string{
 		`"span":"x"`,
 		`"span":"5-2"`,
 		`"span":"-1-3"`,
 		`"span":"0-999"`,
+		`"shard":"0/2"`,
 		`"span":"0-2","shard":"0/2"`,
 	} {
 		body := fmt.Sprintf(`{"Benchmarks":["gcc"],"Insts":5000,%s}`, bad)

@@ -212,43 +212,14 @@ func (g Grid) Configs() []core.Config {
 	return cfgs
 }
 
-// Shard returns the i-th of n contiguous, near-equal slices of cfgs
-// (extra configs go to the leading shards). Concatenating the shards in
-// order reproduces cfgs exactly, so distributed runs can merge their
-// outputs deterministically. Shards beyond the config count are empty.
-func Shard(cfgs []core.Config, i, n int) []core.Config {
-	if n <= 0 || i < 0 || i >= n {
-		return nil
-	}
-	size, rem := len(cfgs)/n, len(cfgs)%n
-	lo := i*size + min(i, rem)
-	hi := lo + size
-	if i < rem {
-		hi++
-	}
-	return cfgs[lo:hi]
-}
-
-// ShardLen returns len(Shard(cfgs, i, n)) for any cfgs of length total,
-// without materializing the slice — how the coordinator and the HTTP
-// service size a shard job before (or without) expanding the grid.
-func ShardLen(total, i, n int) int {
-	if n <= 0 || i < 0 || i >= n || total < 0 {
-		return 0
-	}
-	size, rem := total/n, total%n
-	if i < rem {
-		size++
-	}
-	return size
-}
-
-// SpanOf returns the [lo, hi) config-index range of Shard(cfgs, i, n)
-// over any cfgs of length total — the range form of the same contiguous
-// partition, which is what makes a shard re-splittable: a partially done
-// shard [lo, hi) with w leading configs finished splits into an exported
-// prefix [lo, lo+w) and a remainder [lo+w, hi) that is itself a valid
-// work unit.
+// SpanOf returns the [lo, hi) config-index range of the i-th of n
+// contiguous, near-equal pieces of a grid of total configs (extra configs
+// go to the leading pieces; pieces beyond the config count are empty).
+// Concatenating the pieces in order reproduces the grid exactly, so
+// distributed runs merge their outputs deterministically. A range is
+// re-splittable: a partially done span [lo, hi) with w leading configs
+// finished splits into an exported prefix [lo, lo+w) and a remainder
+// [lo+w, hi) that is itself a valid work unit.
 func SpanOf(total, i, n int) (lo, hi int) {
 	if n <= 0 || i < 0 || i >= n || total < 0 {
 		return 0, 0
@@ -279,7 +250,8 @@ func ParseSpan(s string) (lo, hi int, err error) {
 func FormatSpan(lo, hi int) string { return fmt.Sprintf("%d-%d", lo, hi) }
 
 // ParseShard parses a shard spec "i/n" (e.g. "0/4" is the first of four
-// contiguous grid shards), validating 0 <= i < n.
+// contiguous grid pieces), validating 0 <= i < n; SpanOf turns it into a
+// config range.
 func ParseShard(s string) (i, n int, err error) {
 	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil {
 		return 0, 0, fmt.Errorf("sweep: bad shard %q (want i/n, e.g. 0/4)", s)
@@ -289,9 +261,6 @@ func ParseShard(s string) (i, n int, err error) {
 	}
 	return i, n, nil
 }
-
-// FormatShard renders a shard spec in the form ParseShard accepts.
-func FormatShard(i, n int) string { return fmt.Sprintf("%d/%d", i, n) }
 
 // AllDPolicies lists every d-cache policy the simulator implements, in
 // enum order.

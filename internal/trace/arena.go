@@ -14,7 +14,7 @@ package trace
 // Reader: the same instructions in the same order, and the same errors
 // surfaced at the same consumption points (a decode error beyond the range
 // a run consumes stays invisible to that run, exactly as it would be to a
-// Limit-bounded Reader). The determinism gate and the replay tests hold
+// Reader stopped at the run's instruction count). The determinism gate and the replay tests hold
 // the two paths byte-identical.
 
 import (

@@ -237,22 +237,19 @@ func (b *Buffered) refill() bool {
 	return b.n > 0
 }
 
-// Limit wraps a Source and stops after n instructions.
+// Limit wraps a WindowSource and stops after N instructions. Windows come
+// straight from the underlying source, cut to the instructions the budget
+// still allows; Next and Window/Advance share one position.
 type Limit struct {
-	Src Source
+	Src WindowSource
 	N   int64
 
 	seen int64
 }
 
-// NewLimit returns a Source that yields at most n instructions from src.
-// When src is a WindowSource the returned limiter is one too, exposing the
-// underlying windows truncated to the remaining budget — wrapping an
-// in-memory replay in a Limit keeps the batch fetch path intact.
-func NewLimit(src Source, n int64) Source {
-	if ws, ok := src.(WindowSource); ok {
-		return &WindowLimit{Limit: Limit{Src: src, N: n}, ws: ws}
-	}
+// NewLimit returns a WindowSource that yields at most n instructions from
+// src.
+func NewLimit(src WindowSource, n int64) *Limit {
 	return &Limit{Src: src, N: n}
 }
 
@@ -268,20 +265,12 @@ func (l *Limit) Next(out *Inst) bool {
 	return true
 }
 
-// WindowLimit is a Limit over a WindowSource: windows come straight from
-// the underlying source, cut to the instructions the budget still allows.
-// NewLimit constructs it automatically; both views share one position.
-type WindowLimit struct {
-	Limit
-	ws WindowSource
-}
-
 // Window implements WindowSource.
-func (l *WindowLimit) Window() []Inst {
+func (l *Limit) Window() []Inst {
 	if l.seen >= l.N {
 		return nil
 	}
-	w := l.ws.Window()
+	w := l.Src.Window()
 	if rem := l.N - l.seen; int64(len(w)) > rem {
 		w = w[:rem]
 	}
@@ -289,7 +278,7 @@ func (l *WindowLimit) Window() []Inst {
 }
 
 // Advance implements WindowSource.
-func (l *WindowLimit) Advance(n int) {
-	l.ws.Advance(n)
+func (l *Limit) Advance(n int) {
+	l.Src.Advance(n)
 	l.seen += int64(n)
 }

@@ -98,6 +98,42 @@ func TestLimit(t *testing.T) {
 	if n != 7 {
 		t.Fatalf("Limit yielded %d instructions, want 7", n)
 	}
+	if w := lim.Window(); len(w) != 0 {
+		t.Fatalf("spent Limit exposes a %d-instruction window", len(w))
+	}
+
+	// Window is cut at the budget, and Next and Window/Advance consume
+	// from one position.
+	insts := make([]Inst, 100)
+	for i := range insts {
+		insts[i].PC = uint64(i)
+	}
+	base := &SliceSource{Insts: insts}
+	lim = NewLimit(base, 10)
+	if !lim.Next(&in) || in.PC != 0 {
+		t.Fatalf("first Next = %d", in.PC)
+	}
+	w := lim.Window()
+	if len(w) != 9 || w[0].PC != 1 {
+		t.Fatalf("window after one Next: len %d, first PC %d; want 9 from PC 1", len(w), w[0].PC)
+	}
+	lim.Advance(4)
+	if !lim.Next(&in) || in.PC != 5 {
+		t.Fatalf("Next after Advance(4) = %d, want 5", in.PC)
+	}
+	if w := lim.Window(); len(w) != 4 || w[0].PC != 6 || w[3].PC != 9 {
+		t.Fatalf("window = %v, want PCs 6..9", w)
+	}
+	lim.Advance(4)
+	if w := lim.Window(); len(w) != 0 {
+		t.Fatalf("window past budget has %d instructions", len(w))
+	}
+	if lim.Next(&in) {
+		t.Fatal("Next past budget returned true")
+	}
+	if !base.Next(&in) || in.PC != 10 {
+		t.Fatalf("underlying source resumes at PC %d, want 10", in.PC)
+	}
 }
 
 func TestRepeat(t *testing.T) {

@@ -23,7 +23,7 @@ func benchInput(b *testing.B, format string, n int64) []byte {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := exp(&buf, trace.NewLimit(p.NewWalker(), n), n); err != nil {
+	if _, err := exp(&buf, p.NewWalker(), n); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()

@@ -4,7 +4,8 @@
 # Runs a small sweep grid twice through both trace sources — the live
 # workload walker and a fresh .wct capture replay — and byte-diffs every
 # output against the checked-in golden fixtures (testdata/golden_sweep.json
-# / .csv). Any drift means a change to simulation behaviour, which a perf
+# / .csv), then checks that three -shard pieces concatenate to the golden
+# CSV body. Any drift means a change to simulation behaviour, which a perf
 # refactor must not cause; regenerate the fixtures (GOLDEN=regen) only for
 # a PR that intentionally changes the model.
 set -eu
@@ -72,4 +73,16 @@ cmp testdata/golden_sweep.json "$tmp/walk1.json" ||
 cmp testdata/golden_sweep.csv "$tmp/walk1.csv" ||
     { echo "determinism gate: sweep CSV drifted from golden fixture" >&2; exit 1; }
 
-echo "determinism gate: OK (walker == replay == golden, serial and 4 workers, twice)"
+# Shard leg: -shard i/3 runs the i-th span sweep.SpanOf cuts, and the
+# three CSV bodies (headers stripped) concatenate, in order, to the
+# golden CSV body.
+: >"$tmp/shards.body"
+for i in 0 1 2; do
+    run_sweep csv "$tmp/shard$i.csv" -shard "$i/3"
+    tail -n +2 "$tmp/shard$i.csv" >>"$tmp/shards.body"
+done
+tail -n +2 testdata/golden_sweep.csv >"$tmp/golden.body"
+cmp "$tmp/golden.body" "$tmp/shards.body" ||
+    { echo "determinism gate: -shard i/3 CSV bodies do not concatenate to the golden body" >&2; exit 1; }
+
+echo "determinism gate: OK (walker == replay == golden, serial and 4 workers, twice; 3 shards == golden)"
