@@ -86,7 +86,6 @@ func run() error {
 	poll := flag.Duration("poll", 250*time.Millisecond, "per-span status poll interval (also the hosts-file watch tick)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline for host control requests (a hanging host fails over like a dead one; exports get 10x)")
 	stall := flag.Duration("stall", 10*time.Second, "how long a span may go without progress before idle hosts steal its finished prefix or speculate a duplicate")
-	minSteal := flag.Int("min-steal", 1, "minimum finished-prefix configs worth stealing from a straggler")
 	noSpec := flag.Bool("no-speculate", false, "disable tail speculation (stealing still happens)")
 	seed := flag.Uint64("seed", 0, "seed for the deterministic retry/backoff jitter (default: derived from the run name)")
 	name := flag.String("name", "", "run identity for remote job names (default: derived from the grid)")
@@ -123,7 +122,6 @@ func run() error {
 		PollInterval:   *poll,
 		RequestTimeout: *timeout,
 		StallAfter:     *stall,
-		MinSteal:       *minSteal,
 		NoSpeculate:    *noSpec,
 		Seed:           *seed,
 		Name:           *name,
@@ -142,8 +140,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// Close writes the index snapshot; ingested results are already
-		// durable in the log, so a close failure warns rather than fails.
+		// Close writes the index snapshot. Ingested results are already in
+		// the log, unsynced (a crash of this process keeps them, power loss
+		// may not), so a close failure warns rather than fails.
 		defer func() {
 			if cerr := db.Close(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "sweepctl: closing store:", cerr)

@@ -111,10 +111,6 @@ type Options struct {
 	// (default 10s). Raise it for grids with slow individual configs;
 	// lower it in tests.
 	StallAfter time.Duration
-	// MinSteal is the minimum finished-prefix watermark worth stealing
-	// (default 1). A stalled flight with less banked progress is left to
-	// speculation, which duplicates instead of cancelling.
-	MinSteal int
 	// NoSpeculate disables tail speculation (stealing still happens).
 	NoSpeculate bool
 	// Backend, when non-nil, receives every remotely-computed result in
@@ -246,10 +242,6 @@ func Run(ctx context.Context, g sweep.Grid, o Options) (*Result, error) {
 	if stall <= 0 {
 		stall = 10 * time.Second
 	}
-	minSteal := o.MinSteal
-	if minSteal <= 0 {
-		minSteal = 1
-	}
 	logf := o.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -272,7 +264,6 @@ func Run(ctx context.Context, g sweep.Grid, o Options) (*Result, error) {
 		h.Write([]byte(name))
 		seed = h.Sum64()
 	}
-	retry := newRetrier(o.Retry, seed)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -280,35 +271,39 @@ func Run(ctx context.Context, g sweep.Grid, o Options) (*Result, error) {
 	// The distributor outlives the initial push: late joiners get the
 	// same traces before their worker starts. Its ephemeral relay store
 	// (when no local one was given) lives until the run ends.
-	dist, distCleanup, err := newDistributor(g, client, reqTimeout, o.TraceStore, o.Token, retry, logf)
+	dist, distCleanup, err := newDistributor(g, o.TraceStore)
 	if err != nil {
 		return nil, err
 	}
 	defer distCleanup()
-	hosts, err := dist.init(runCtx, initial)
-	if err != nil {
-		return nil, err
+	total := g.Size()
+	c := &run{
+		transport: &transport{client: client, token: o.Token,
+			reqTimeout: reqTimeout, retry: newRetrier(o.Retry, seed)},
+		grid: g, name: name, total: total,
+		poll: poll, stall: stall,
+		maxAttempts: maxAttempts, speculate: !o.NoSpeculate,
+		dist: dist, progress: o.Progress, logf: logf, cancel: cancel,
+		wake:  make(chan struct{}),
+		done:  make(chan struct{}),
+		idle:  make(chan struct{}),
+		hosts: make(map[string]*hostState),
+	}
+	// Bring every starting host up to date on every referenced trace;
+	// hosts that cannot be are dropped.
+	hosts := initial
+	for _, hash := range dist.hashes {
+		if hosts, err = c.distribute(runCtx, hash, hosts); err != nil {
+			return nil, err
+		}
 	}
 	if len(hosts) == 0 {
 		return nil, errors.New("coord: no host can serve the grid's trace references")
 	}
 
-	total := g.Size()
 	nShards := o.Shards
 	if nShards <= 0 {
 		nShards = len(hosts)
-	}
-
-	c := &run{
-		client: client, grid: g, name: name, token: o.Token,
-		total: total, poll: poll, reqTimeout: reqTimeout, stall: stall,
-		minSteal: minSteal, maxAttempts: maxAttempts, speculate: !o.NoSpeculate,
-		retry: retry, dist: dist,
-		progress: o.Progress, logf: logf, cancel: cancel,
-		wake:  make(chan struct{}),
-		done:  make(chan struct{}),
-		idle:  make(chan struct{}),
-		hosts: make(map[string]*hostState),
 	}
 	for i := 0; i < nShards; i++ {
 		lo, hi := sweep.SpanOf(total, i, nShards)
@@ -457,17 +452,16 @@ type spanWarning struct {
 
 // run is the mutable state of one distributed execution.
 type run struct {
-	client      *http.Client
-	grid        sweep.Grid
-	name, token string
-	total       int
+	*transport
+	grid  sweep.Grid
+	name  string
+	total int
 
-	poll, reqTimeout, stall time.Duration
-	minSteal, maxAttempts   int
-	speculate               bool
+	poll, stall time.Duration
+	maxAttempts int
+	speculate   bool
 
-	retry    *retrier
-	dist     *distributor
+	dist     distributor
 	progress sweep.Progress
 	logf     func(string, ...any)
 	cancel   context.CancelFunc
@@ -753,10 +747,10 @@ func (c *run) stealVictimLocked(host string, now time.Time) *flight {
 			f.stealing || f.noSteal || f.stolen || f.superseded {
 			continue
 		}
-		// A flight that has not even reached MinSteal progress has nothing
-		// worth banking — don't burn a probe on a host that is likely
-		// frozen solid; speculation handles it without touching the victim.
-		if f.done < c.minSteal {
+		// A flight with no finished config has nothing worth banking —
+		// don't burn a probe on a host that is likely frozen solid;
+		// speculation handles it without touching the victim.
+		if f.done < 1 {
 			continue
 		}
 		if !c.stalledLocked(f, now) || c.duplicatedLocked(f) {
@@ -964,7 +958,7 @@ func (c *run) trySteal(ctx context.Context, thief string, v *flight) bool {
 	}
 	w := st.Watermark
 	span := v.hi - v.lo
-	if w < c.minSteal || w >= span {
+	if w < 1 || w >= span {
 		return false // nothing worth banking, or the victim is about to finish
 	}
 	out, err := c.exportJob(ctx, v.host, v.jobID, w)
@@ -1083,7 +1077,7 @@ func (c *run) applyMembership(ctx context.Context, listed, fileHosts map[string]
 // admitHost brings a joining host up to date on traces, then starts its
 // worker. Called with c.joining already incremented.
 func (c *run) admitHost(ctx context.Context, host string) {
-	err := c.dist.ensureHost(ctx, host, c.activeHosts())
+	err := c.ensureHost(ctx, host, c.activeHosts())
 	c.mu.Lock()
 	c.joining--
 	if err != nil || ctx.Err() != nil || c.fatal != nil || c.idleClosed {
@@ -1147,7 +1141,12 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 	c.bumpLocked() // the flight is now stealable
 	c.mu.Unlock()
 
-	if st, err = c.awaitTerminal(ctx, f, st); err != nil {
+	var out flightOutput
+	st, err = c.follow(ctx, f.host, st, true, c.poll, func(done int) { c.noteProgress(f, done) })
+	if err == nil && st.State == "done" {
+		out, err = c.exportJob(ctx, f.host, st.ID, -1)
+	}
+	if err != nil {
 		if outcome, clean := c.abandon(f.host, st.ID); !clean {
 			c.noteWarning(f.lo, f.hi, "abandoned job %s on %s: %s", st.ID, f.host, outcome)
 		}
@@ -1169,15 +1168,6 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 		// a host-level error: retry the span elsewhere.
 		return flightOutput{}, nil, fmt.Errorf("job %s was cancelled on %s", st.ID, f.host)
 	}
-	c.noteProgress(f, st.Done)
-
-	out, err := c.exportJob(ctx, f.host, st.ID, -1)
-	if err != nil {
-		if outcome, clean := c.abandon(f.host, st.ID); !clean {
-			c.noteWarning(f.lo, f.hi, "abandoned job %s on %s: %s", st.ID, f.host, outcome)
-		}
-		return flightOutput{}, nil, err
-	}
 	if want := f.hi - f.lo; len(out.results) != want {
 		return flightOutput{}, nil,
 			fmt.Errorf("span %s export from %s holds %d results, want %d",
@@ -1185,99 +1175,100 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 	}
 	// Evict the remote job so completed spans do not pin their results
 	// in host memory; the host's store keeps the simulations either way.
-	c.evict(ctx, f.host, st.ID)
+	c.bestEffort(ctx, http.MethodDelete, f.host+"/api/v1/jobs/"+st.ID)
 	return out, st.TraceFallbacks, nil
 }
 
-// awaitTerminal follows a submitted job to a terminal state and returns
-// that status. It prefers the host's SSE events stream — one connection,
-// progress pushed the moment it changes — and falls back to the status
-// poll loop when the stream cannot be established or breaks mid-flight
-// (a host predating the endpoint, a buffering proxy, a dropped or
-// truncated connection). A broken stream is not by itself a host
-// failure: polling gets a clean shot at the same job before the span is
-// reassigned. The returned status always carries the job ID, even on
+// follow tracks a job to a terminal state and returns that status. Every
+// status, streamed or polled, takes the same step: note progress, stop if
+// terminal. With stream set, statuses come from the host's SSE events
+// stream, and the follower falls back to polling every interval when the
+// stream cannot be opened or breaks (an older host, a buffering proxy, a
+// dropped or truncated connection). A broken stream is not by itself a
+// host failure: polling gets a clean shot at the same job before the span
+// is reassigned. The returned status always carries the job ID, even on
 // error, so the caller can abandon the remote job.
-func (c *run) awaitTerminal(ctx context.Context, f *flight, st server.JobStatus) (server.JobStatus, error) {
-	if term, err := c.streamStatus(ctx, f, st.ID); err == nil {
-		return term, nil
-	} else if ctx.Err() != nil {
-		return st, ctx.Err()
-	} else {
-		c.logf("coord: events stream for %s on %s failed (%v); polling instead", st.ID, f.host, err)
+func (c *run) follow(ctx context.Context, host string, st server.JobStatus, stream bool,
+	every time.Duration, note func(done int)) (server.JobStatus, error) {
+	poll := func() (server.JobStatus, error) {
+		if err := sleepCtx(ctx, every); err != nil {
+			return server.JobStatus{}, err
+		}
+		return c.pollStatus(ctx, host, st.ID)
 	}
+	next, stop := poll, func() {}
+	if stream {
+		next, stop = c.events(ctx, host, st.ID)
+	}
+	defer stop()
 	for {
-		switch st.State {
-		case "done", "failed", "cancelled":
+		note(st.Done)
+		if st.Terminal() {
 			return st, nil
 		}
-		c.noteProgress(f, st.Done)
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(c.poll):
-		}
-		next, err := c.pollStatus(ctx, f.host, st.ID)
-		if err != nil {
+		s, err := next()
+		switch {
+		case err == nil:
+			st = s
+		case stream && ctx.Err() == nil:
+			c.logf("coord: events stream for %s on %s failed (%v); polling instead", st.ID, host, err)
+			stop()
+			next, stream = poll, false
+		default:
 			return st, err // st keeps the job ID for the caller's abandon
 		}
-		st = next
 	}
 }
 
-// streamStatus consumes the job's SSE progress stream until a terminal
-// status event arrives, folding every event into the progress feed. Any
-// setup or mid-stream failure is returned for the caller to fall back
-// on polling. The stream has no overall deadline — a span runs as long
-// as it runs — but the server heartbeats idle streams, so a connection
-// silent for a full request timeout means a dead or wedged host and
-// trips the watchdog.
-func (c *run) streamStatus(ctx context.Context, f *flight, id string) (server.JobStatus, error) {
+// events opens a job's SSE events stream and returns a function yielding
+// its statuses in order (an open failure surfaces from the first call)
+// and one closing the stream. The stream has no overall deadline, but the
+// server heartbeats idle streams, so a request timeout of silence means a
+// dead or wedged host and trips the inactivity watchdog. The watchdog
+// arms before the connection is made (a frozen host accepts TCP and then
+// never sends headers) and re-arms before every read.
+func (c *run) events(ctx context.Context, host, id string) (next func() (server.JobStatus, error), stop func()) {
 	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	req, err := c.newRequest(sctx, http.MethodGet, f.host+"/api/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	// The inactivity watchdog arms before the connection is even made: a
-	// frozen host accepts the TCP connection and then never sends
-	// response headers, which would otherwise block here indefinitely.
-	// After setup it re-arms on every received line; the server
-	// heartbeats idle streams, so reqTimeout of total silence means a
-	// dead or wedged host.
 	watchdog := time.AfterFunc(c.reqTimeout, cancel)
-	defer watchdog.Stop()
+	stop = func() { watchdog.Stop(); cancel() }
+	fail := func(err error) func() (server.JobStatus, error) {
+		return func() (server.JobStatus, error) { return server.JobStatus{}, err }
+	}
+	req, err := c.newRequest(sctx, http.MethodGet, host+"/api/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		return fail(err), stop
+	}
 	//wclint:retry-ok SSE stream: single long-lived connection guarded by the inactivity watchdog; any failure falls back to the retry-governed poll loop
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return server.JobStatus{}, err
+		return fail(err), stop
 	}
-	defer resp.Body.Close()
+	stop = func() { watchdog.Stop(); cancel(); resp.Body.Close() }
 	if resp.StatusCode != http.StatusOK {
-		return server.JobStatus{}, &httpStatusError{status: resp.StatusCode}
+		return fail(&httpStatusError{status: resp.StatusCode}), stop
 	}
-	watchdog.Reset(c.reqTimeout)
 	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		watchdog.Reset(c.reqTimeout)
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue // "event:" labels, heartbeat comments, blank separators
-		}
-		var st server.JobStatus
-		if err := json.Unmarshal([]byte(data), &st); err != nil {
-			return server.JobStatus{}, fmt.Errorf("bad event payload: %w", err)
-		}
-		c.noteProgress(f, st.Done)
-		switch st.State {
-		case "done", "failed", "cancelled":
+	return func() (server.JobStatus, error) {
+		for {
+			watchdog.Reset(c.reqTimeout)
+			if !sc.Scan() {
+				break
+			}
+			data, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				continue // "event:" labels, heartbeat comments, blank separators
+			}
+			var st server.JobStatus
+			if err := json.Unmarshal([]byte(data), &st); err != nil {
+				return server.JobStatus{}, fmt.Errorf("bad event payload: %w", err)
+			}
 			return st, nil
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return server.JobStatus{}, err
-	}
-	return server.JobStatus{}, errors.New("stream ended without a terminal status")
+		if err := sc.Err(); err != nil {
+			return server.JobStatus{}, err
+		}
+		return server.JobStatus{}, errors.New("stream ended without a terminal status")
+	}, stop
 }
 
 // abandon best-effort cancels and evicts a job the coordinator is
@@ -1292,36 +1283,26 @@ func (c *run) streamStatus(ctx context.Context, f *flight, id string) (server.Jo
 func (c *run) abandon(host, id string) (outcome string, clean bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	cctx, ccancel := context.WithTimeout(ctx, c.reqTimeout)
-	if req, err := c.newRequest(cctx, http.MethodPost, host+"/api/v1/jobs/"+id+"/cancel", nil); err == nil {
-		//wclint:retry-ok best-effort cancel inside the fixed abandon budget; the poll loop below confirms the outcome, so retrying here would only eat the budget
-		if resp, err := c.client.Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}
-	ccancel()
+	c.bestEffort(ctx, http.MethodPost, host+"/api/v1/jobs/"+id+"/cancel")
 	// Eviction needs a terminal state; a just-cancelled running job
-	// drains first. Poll briefly within the abandon budget rather than
-	// issuing one guaranteed-409 delete.
-	for ctx.Err() == nil {
-		st, err := c.pollStatus(ctx, host, id)
-		if err != nil {
-			// Host unreachable: nothing provably running. If the host is
-			// truly dead nothing is leaked either; if it is frozen the
-			// job may thaw later, which the caller should know.
-			return fmt.Sprintf("host unreachable while confirming cancellation (%v)", err), false
-		}
-		switch st.State {
-		case "done", "failed", "cancelled":
-			c.evict(ctx, host, id)
-			return fmt.Sprintf("reached %q and was evicted", st.State), true
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(250 * time.Millisecond):
-		}
+	// drains first. Follow it briefly within the abandon budget rather
+	// than issuing one guaranteed-409 delete.
+	st, err := c.pollStatus(ctx, host, id)
+	if err == nil {
+		st, err = c.follow(ctx, host, st, false, 250*time.Millisecond, func(int) {})
 	}
-	return "still running when the abandon budget expired", false
+	switch {
+	case err == nil:
+		c.bestEffort(ctx, http.MethodDelete, host+"/api/v1/jobs/"+id)
+		return fmt.Sprintf("reached %q and was evicted", st.State), true
+	case ctx.Err() != nil:
+		return "still running when the abandon budget expired", false
+	default:
+		// Host unreachable: nothing provably running. If the host is
+		// truly dead nothing is leaked either; if it is frozen the job
+		// may thaw later, which the caller should know.
+		return fmt.Sprintf("host unreachable while confirming cancellation (%v)", err), false
+	}
 }
 
 // abandonByName handles the lost-submission case: the submit request
@@ -1333,16 +1314,12 @@ func (c *run) abandon(host, id string) (outcome string, clean bool) {
 func (c *run) abandonByName(host, name string) (outcome string, clean bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req, err := c.newRequest(ctx, http.MethodGet, host+"/api/v1/jobs", nil)
-	if err != nil {
-		return "building the job-list request failed", false
-	}
 	var jobs []server.JobStatus
-	if err := c.doJSON(req, http.StatusOK, &jobs); err != nil {
+	if err := c.send(ctx, "hunt "+name, control, http.MethodGet, host+"/api/v1/jobs", nil, decodeJSON(&jobs)); err != nil {
 		return fmt.Sprintf("host unreachable while hunting the lost submission (%v)", err), false
 	}
 	for _, st := range jobs {
-		if st.Name == name && st.State != "done" && st.State != "failed" && st.State != "cancelled" {
+		if st.Name == name && !st.Terminal() {
 			return c.abandon(host, st.ID)
 		}
 	}
@@ -1368,16 +1345,9 @@ func (c *run) submit(ctx context.Context, f *flight) (server.JobStatus, error) {
 	// Submission is idempotent by name (a resubmission of the same work
 	// gets the live job's status back), so request-level retries after a
 	// lost response are safe.
-	err = c.retry.do(ctx, "submit "+name, func(int) error {
-		rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
-		defer cancel()
-		req, err := c.newRequest(rctx, http.MethodPost, f.host+"/api/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return c.doJSON(req, http.StatusAccepted, &st)
-	})
+	err = c.send(ctx, "submit "+name, control, http.MethodPost, f.host+"/api/v1/jobs",
+		&payload{data: bytes.NewReader(body), size: int64(len(body)), contentType: "application/json"},
+		decodeJSON(&st))
 	if err != nil {
 		return server.JobStatus{}, fmt.Errorf("submitting span %s to %s: %w",
 			sweep.FormatSpan(f.lo, f.hi), f.host, err)
@@ -1387,15 +1357,7 @@ func (c *run) submit(ctx context.Context, f *flight) (server.JobStatus, error) {
 
 func (c *run) pollStatus(ctx context.Context, host, id string) (server.JobStatus, error) {
 	var st server.JobStatus
-	err := c.retry.do(ctx, "poll "+id, func(int) error {
-		rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
-		defer cancel()
-		req, err := c.newRequest(rctx, http.MethodGet, host+"/api/v1/jobs/"+id, nil)
-		if err != nil {
-			return err
-		}
-		return c.doJSON(req, http.StatusOK, &st)
-	})
+	err := c.send(ctx, "poll "+id, control, http.MethodGet, host+"/api/v1/jobs/"+id, nil, decodeJSON(&st))
 	if err != nil {
 		return server.JobStatus{}, fmt.Errorf("polling %s on %s: %w", id, host, err)
 	}
@@ -1410,32 +1372,13 @@ func (c *run) pollStatus(ctx context.Context, host, id string) (server.JobStatus
 // makes safe.
 func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (flightOutput, error) {
 	url := host + "/api/v1/jobs/" + id + "/export"
-	want := -1
 	if prefix >= 0 {
 		url = fmt.Sprintf("%s?prefix=%d", url, prefix)
-		want = prefix
 	}
 	var out flightOutput
-	err := c.retry.do(ctx, "export "+id, func(int) error {
-		// A whole span flows through this response, so it gets a far
-		// larger budget than a control request — but still a bounded one.
-		rctx, cancel := context.WithTimeout(ctx, 10*c.reqTimeout)
-		defer cancel()
-		req, err := c.newRequest(rctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return &httpStatusError{status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
-		}
+	err := c.send(ctx, "export "+id, bulk, http.MethodGet, url, nil, func(body io.Reader) error {
 		out = flightOutput{}
-		dec := json.NewDecoder(bufio.NewReaderSize(resp.Body, 1<<16))
+		dec := json.NewDecoder(bufio.NewReaderSize(body, 1<<16))
 		for {
 			var e server.ExportEntry
 			if err := dec.Decode(&e); err == io.EOF {
@@ -1453,8 +1396,8 @@ func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (fligh
 			out.entries = append(out.entries, e)
 			out.results = append(out.results, res)
 		}
-		if want >= 0 && len(out.entries) != want {
-			return fmt.Errorf("prefix export returned %d entries, want %d", len(out.entries), want)
+		if prefix >= 0 && len(out.entries) != prefix {
+			return fmt.Errorf("prefix export returned %d entries, want %d", len(out.entries), prefix)
 		}
 		return nil
 	})
@@ -1464,53 +1407,22 @@ func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (fligh
 	return out, nil
 }
 
-// evict best-effort-deletes a fully exported job on its host.
-func (c *run) evict(ctx context.Context, host, id string) {
+// bestEffort sends one control request once and ignores the answer: the
+// cancel that starts an abandon (its follower confirms the outcome, so a
+// retry would only eat the fixed abandon budget) and the eviction of a
+// terminal job (a leaked one is reclaimed by the host's own compaction,
+// not worth retry backoff).
+func (c *run) bestEffort(ctx context.Context, method, url string) {
 	rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
-	req, err := c.newRequest(rctx, http.MethodDelete, host+"/api/v1/jobs/"+id, nil)
+	req, err := c.newRequest(rctx, method, url, nil)
 	if err != nil {
 		return
 	}
-	//wclint:retry-ok best-effort eviction of an already-exported job; a leaked terminal job is reclaimed by the host's own compaction, not worth retry backoff
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return
+	//wclint:retry-ok best-effort single shot: abandon's follower confirms a cancel within its fixed budget, and a leaked eviction is reclaimed by host compaction
+	if resp, err := c.client.Do(req); err == nil {
+		resp.Body.Close()
 	}
-	resp.Body.Close()
-}
-
-// newRequest builds one API request, attaching the run's bearer token
-// when the fleet is authenticated.
-func (c *run) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	return req, nil
-}
-
-// doJSON performs req, requiring status want and decoding the JSON body.
-// Status mismatches surface as *httpStatusError so the retry policy can
-// classify them. It is the JSON transport funnel: every caller either
-// wraps it in retry.do or is a deliberately single-shot best-effort
-// path (abandonByName, whose run context may already be dead).
-//
-//wclint:retry-core
-func (c *run) doJSON(req *http.Request, want int, out any) error {
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &httpStatusError{status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // merge verifies the pieces tile the grid exactly, concatenates them in

@@ -17,6 +17,8 @@ import (
 	"waycache/internal/resultdb"
 	"waycache/internal/server"
 	"waycache/internal/sweep"
+	"waycache/internal/trace"
+	"waycache/internal/tracestore"
 	"waycache/internal/workload"
 )
 
@@ -295,7 +297,8 @@ func TestPollFallbackWhenStreamUnavailable(t *testing.T) {
 }
 
 // TestAuthenticatedFleet: with hosts requiring bearer tokens, a run
-// carrying Options.Token succeeds and one without it fails fast.
+// carrying Options.Token succeeds and one without it fails fast — for
+// trace distribution (probe and push) as well as job control.
 func TestAuthenticatedFleet(t *testing.T) {
 	tokens, err := server.ParseAuthTokens("coordinator=fleet-secret")
 	if err != nil {
@@ -328,6 +331,66 @@ func TestAuthenticatedFleet(t *testing.T) {
 	gotJSON, _ := coordBytes(t, res)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Error("authenticated merge differs from single-host sweep JSON")
+	}
+
+	// trace:// leg: the host's trace store starts empty, so the capture
+	// must be probed for and pushed from the coordinator's local store
+	// under the same token.
+	hostStore, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceSrv := server.New(server.Options{Workers: 2, AuthTokens: tokens, TraceStore: hostStore})
+	var requests atomic.Int64
+	traceTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		traceSrv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { traceTS.Close(); traceSrv.Close() })
+	local, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := seedCapture(t, local, "gcc", 2_000)
+	tg := g
+	tg.TraceRefs = map[string]string{"gcc": trace.FormatRef(hash)}
+
+	if _, err := Run(context.Background(), tg, Options{
+		Hosts:        []string{traceTS.URL},
+		PollInterval: 10 * time.Millisecond,
+		TraceStore:   local,
+		Name:         "t-auth-trace-missing",
+	}); err == nil {
+		t.Fatal("tokenless trace:// run against an authenticated host succeeded")
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("tokenless trace:// run sent %d requests, want 1 (the rejected probe, not retried)", n)
+	}
+	if hostStore.Has(hash) {
+		t.Error("tokenless run pushed the trace anyway")
+	}
+
+	res, err = Run(context.Background(), tg, Options{
+		Hosts:        []string{traceTS.URL},
+		PollInterval: 10 * time.Millisecond,
+		TraceStore:   local,
+		Name:         "t-auth-trace-ok",
+		Token:        "fleet-secret",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hostStore.Has(hash) {
+		t.Error("authenticated run did not push the trace to the host")
+	}
+	for _, sh := range res.Shards {
+		if len(sh.TraceFallbacks) != 0 {
+			t.Errorf("shard %d fell back to the walker: %v", sh.Index, sh.TraceFallbacks)
+		}
+	}
+	gotJSON, _ = coordBytes(t, res)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("authenticated trace:// merge differs from single-host sweep JSON")
 	}
 }
 

@@ -13,10 +13,13 @@ package coord
 // at reproducible instants — the property the chaos tests lean on.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"time"
 )
@@ -172,4 +175,87 @@ func (r *retrier) do(ctx context.Context, op string, fn func(attempt int) error)
 		}
 	}
 	return fmt.Errorf("%s: giving up after %d attempts: %w", op, r.policy.MaxAttempts, last)
+}
+
+// transport sends every coordinator request — job control and trace
+// distribution alike — with one client, one bearer token, one deadline
+// per request class and one retry policy.
+type transport struct {
+	client     *http.Client
+	token      string
+	reqTimeout time.Duration
+	retry      *retrier
+}
+
+// Request classes, as multiples of the request timeout: a control
+// request (submit, poll, probe, job list) gets reqTimeout; a bulk one
+// carries a whole span or trace (export, trace fetch and push) and gets
+// ten times that, still bounded.
+const (
+	control = 1
+	bulk    = 10
+)
+
+// payload is a request body the transport can resend from its start on
+// every attempt.
+type payload struct {
+	data        io.ReaderAt
+	size        int64
+	contentType string
+}
+
+// newRequest builds one request, attaching the fleet's bearer token when
+// it is authenticated. It is the only place the token is set.
+func (t *transport) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if t.token != "" {
+		req.Header.Set("Authorization", "Bearer "+t.token)
+	}
+	return req, nil
+}
+
+// send is the coordinator's transport funnel. Under the retry policy
+// (op names the schedule and the give-up error), each attempt builds the
+// request, bounds it by its class's budget, sends it, and turns a non-2xx
+// answer into an *httpStatusError carrying the host's error body, so the
+// policy can classify it. read, when non-nil, consumes a 2xx body inside
+// the same attempt: a body cut off mid-read retries the whole request.
+//
+//wclint:retry-core
+func (t *transport) send(ctx context.Context, op string, class int, method, url string,
+	body *payload, read func(io.Reader) error) error {
+	return t.retry.do(ctx, op, func(int) error {
+		rctx, cancel := context.WithTimeout(ctx, time.Duration(class)*t.reqTimeout)
+		defer cancel()
+		req, err := t.newRequest(rctx, method, url, nil)
+		if err != nil {
+			return err
+		}
+		if body != nil {
+			req.Body = io.NopCloser(io.NewSectionReader(body.data, 0, body.size))
+			req.ContentLength = body.size
+			req.Header.Set("Content-Type", body.contentType)
+		}
+		resp, err := t.client.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			return &httpStatusError{status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
+		}
+		if read == nil {
+			return nil
+		}
+		return read(resp.Body)
+	})
+}
+
+// decodeJSON is a send reader that decodes the body into v.
+func decodeJSON(v any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(v) }
 }

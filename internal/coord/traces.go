@@ -2,12 +2,12 @@ package coord
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"sort"
-	"time"
 
 	"waycache/internal/sweep"
 	"waycache/internal/trace"
@@ -35,29 +35,24 @@ import (
 // trace directory.
 
 // newDistributor builds the run's trace distributor. When the grid
-// references no traces it is inert (init and ensureHost are no-ops).
-// A nil local store is replaced by an ephemeral one that lives until
-// cleanup is called — it must survive the whole run so late joiners can
-// be supplied.
-func newDistributor(g sweep.Grid, client *http.Client, reqTimeout time.Duration,
-	local *tracestore.Store, token string, retry *retrier, logf func(string, ...any)) (*distributor, func(), error) {
-	d := &distributor{
-		client: client, reqTimeout: reqTimeout, store: local,
-		token: token, retry: retry, logf: logf,
-		hashes: referencedHashes(g),
-	}
+// references no traces it has no hashes and distributes nothing. A nil
+// local store is replaced by an ephemeral one that lives until cleanup
+// is called — it must survive the whole run so late joiners can be
+// supplied.
+func newDistributor(g sweep.Grid, local *tracestore.Store) (distributor, func(), error) {
+	d := distributor{store: local, hashes: referencedHashes(g)}
 	cleanup := func() {}
 	if len(d.hashes) > 0 && d.store == nil {
 		// No local store: relay donor-host objects through a temp store,
 		// which hash-verifies them exactly like a durable one would.
 		dir, err := os.MkdirTemp("", "waycache-coord-traces-")
 		if err != nil {
-			return nil, nil, fmt.Errorf("coord: %w", err)
+			return d, nil, fmt.Errorf("coord: %w", err)
 		}
 		store, err := tracestore.Open(dir)
 		if err != nil {
 			os.RemoveAll(dir)
-			return nil, nil, err
+			return d, nil, err
 		}
 		d.store = store
 		cleanup = func() { os.RemoveAll(dir) }
@@ -80,218 +75,114 @@ func referencedHashes(g sweep.Grid) []string {
 	return hashes
 }
 
+// distributor is the run's trace-distribution state: the local store it
+// pushes from and the hashes the grid references.
 type distributor struct {
-	client     *http.Client
-	reqTimeout time.Duration
-	store      *tracestore.Store
-	token      string
-	retry      *retrier
-	logf       func(string, ...any)
-	hashes     []string
-}
-
-// init brings every starting host up to date on every referenced hash
-// and returns the hosts still eligible for the run, preserving order.
-func (d *distributor) init(ctx context.Context, hosts []string) ([]string, error) {
-	live := hosts
-	for _, hash := range d.hashes {
-		var err error
-		if live, err = d.distribute(ctx, hash, live); err != nil {
-			return nil, err
-		}
-	}
-	return live, nil
+	store  *tracestore.Store
+	hashes []string
 }
 
 // ensureHost brings one late-joining host up to date on every referenced
-// hash, fetching from donors (current active hosts) anything the local
-// store lacks. An error means the host must not join the run.
-func (d *distributor) ensureHost(ctx context.Context, host string, donors []string) error {
-	for _, hash := range d.hashes {
-		ok, err := d.has(ctx, host, hash)
-		if err != nil {
-			return fmt.Errorf("probing trace %s: %w", trace.ShortHash(hash), err)
+// hash, the way distribute brings the starting hosts, after fetching from
+// donors (current active hosts) anything the local store lacks. An error
+// means the host must not join the run; distribute has logged why.
+func (c *run) ensureHost(ctx context.Context, host string, donors []string) error {
+	for _, hash := range c.dist.hashes {
+		if !c.dist.store.Has(hash) && !c.fetchFromAny(ctx, hash, donors) {
+			return fmt.Errorf("trace %s is no longer available from any active host", trace.ShortHash(hash))
 		}
-		if ok {
-			continue
+		if live, err := c.distribute(ctx, hash, []string{host}); err != nil || len(live) == 0 {
+			return fmt.Errorf("trace %s could not be brought to it", trace.ShortHash(hash))
 		}
-		if !d.store.Has(hash) {
-			if err := d.fetchFromAny(ctx, hash, donors); err != nil {
-				return err
-			}
-		}
-		if err := d.push(ctx, host, hash); err != nil {
-			return fmt.Errorf("pushing trace %s: %w", trace.ShortHash(hash), err)
-		}
-		d.logf("coord: pushed trace %s -> %s", trace.ShortHash(hash), host)
 	}
 	return nil
 }
 
-// newRequest builds one trace-API request, attaching the fleet's bearer
-// token when it is authenticated.
-func (d *distributor) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	if d.token != "" {
-		req.Header.Set("Authorization", "Bearer "+d.token)
-	}
-	return req, nil
-}
-
 // distribute brings every reachable host up to date on one hash and
 // returns the hosts still eligible for the run, preserving order.
-func (d *distributor) distribute(ctx context.Context, hash string, hosts []string) ([]string, error) {
+func (c *run) distribute(ctx context.Context, hash string, hosts []string) ([]string, error) {
 	have := make(map[string]bool, len(hosts))
-	var live []string
+	var live, donors []string
 	for _, h := range hosts {
-		ok, err := d.has(ctx, h, hash)
+		ok, err := c.hasTrace(ctx, h, hash)
 		if err != nil {
 			// A 409 here means the host runs without -tracestore: it could
 			// never replay the reference, so it leaves the run with the
 			// unreachable hosts.
-			d.logf("coord: dropping host %s: probing trace %s: %v", h, trace.ShortHash(hash), err)
+			c.logf("coord: dropping host %s: probing trace %s: %v", h, trace.ShortHash(hash), err)
 			continue
 		}
 		have[h] = ok
 		live = append(live, h)
+		if ok {
+			donors = append(donors, h)
+		}
 	}
-	if err := d.ensureLocal(ctx, hash, live, have); err != nil {
-		return nil, err
+	// A hash that exists nowhere aborts the run: no amount of
+	// reassignment could replay it.
+	if !c.dist.store.Has(hash) && !c.fetchFromAny(ctx, hash, donors) {
+		return nil, fmt.Errorf("coord: trace %s is in no local store (-tracestore) and on no host; import it with traceconv and upload it somewhere first",
+			trace.ShortHash(hash))
 	}
 	var out []string
 	for _, h := range live {
 		if !have[h] {
-			if err := d.push(ctx, h, hash); err != nil {
-				d.logf("coord: dropping host %s: pushing trace %s: %v", h, trace.ShortHash(hash), err)
+			if err := c.pushTrace(ctx, h, hash); err != nil {
+				c.logf("coord: dropping host %s: pushing trace %s: %v", h, trace.ShortHash(hash), err)
 				continue
 			}
-			d.logf("coord: pushed trace %s -> %s", trace.ShortHash(hash), h)
+			c.logf("coord: pushed trace %s -> %s", trace.ShortHash(hash), h)
 		}
 		out = append(out, h)
 	}
 	return out, nil
 }
 
-// ensureLocal guarantees the coordinator's store holds hash, fetching it
-// from a donor host when it does not. A hash that exists nowhere aborts
-// the run: no amount of reassignment could replay it.
-func (d *distributor) ensureLocal(ctx context.Context, hash string, hosts []string, have map[string]bool) error {
-	if d.store != nil && d.store.Has(hash) {
-		return nil
-	}
-	for _, h := range hosts {
-		if !have[h] {
-			continue
-		}
-		if err := d.fetch(ctx, h, hash); err != nil {
-			d.logf("coord: fetching trace %s from %s: %v", trace.ShortHash(hash), h, err)
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("coord: trace %s is in no local store (-tracestore) and on no host; import it with traceconv and upload it somewhere first",
-		trace.ShortHash(hash))
-}
-
-// fetchFromAny pulls hash from the first donor that has it.
-func (d *distributor) fetchFromAny(ctx context.Context, hash string, donors []string) error {
+// fetchFromAny pulls hash into the local store from the first donor that
+// serves it and reports whether one did.
+func (c *run) fetchFromAny(ctx context.Context, hash string, donors []string) bool {
 	for _, h := range donors {
-		ok, err := d.has(ctx, h, hash)
-		if err != nil || !ok {
+		if err := c.fetchTrace(ctx, h, hash); err != nil {
+			c.logf("coord: fetching trace %s from %s: %v", trace.ShortHash(hash), h, err)
 			continue
 		}
-		if err := d.fetch(ctx, h, hash); err != nil {
-			d.logf("coord: fetching trace %s from %s: %v", trace.ShortHash(hash), h, err)
-			continue
-		}
-		return nil
+		return true
 	}
-	return fmt.Errorf("trace %s is no longer available from any active host", trace.ShortHash(hash))
+	return false
 }
 
-// has probes one host for one hash without transferring bytes, retrying
-// transport faults under the shared policy.
-func (d *distributor) has(ctx context.Context, host, hash string) (bool, error) {
-	var found bool
-	err := d.retry.do(ctx, "trace-probe "+trace.ShortHash(hash), func(int) error {
-		rctx, cancel := context.WithTimeout(ctx, d.reqTimeout)
-		defer cancel()
-		req, err := d.newRequest(rctx, http.MethodHead, host+"/api/v1/traces/"+hash, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := d.client.Do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			found = true
-			return nil
-		case http.StatusNotFound:
-			found = false
-			return nil
-		default:
-			return &httpStatusError{status: resp.StatusCode}
-		}
-	})
-	return found, err
+// hasTrace probes one host for one hash without transferring bytes.
+func (c *run) hasTrace(ctx context.Context, host, hash string) (bool, error) {
+	err := c.send(ctx, "trace-probe "+trace.ShortHash(hash), control,
+		http.MethodHead, host+"/api/v1/traces/"+hash, nil, nil)
+	var hs *httpStatusError
+	if errors.As(err, &hs) && hs.status == http.StatusNotFound {
+		return false, nil
+	}
+	return err == nil, err
 }
 
-// fetch pulls hash's bytes from a donor host into the local store, which
-// verifies them against the hash before committing — a corrupt transfer
-// is rejected here, never relayed onward. The whole transfer retries
-// under the policy; PutExpected makes a torn retry harmless.
-func (d *distributor) fetch(ctx context.Context, host, hash string) error {
-	return d.retry.do(ctx, "trace-fetch "+trace.ShortHash(hash), func(int) error {
-		rctx, cancel := context.WithTimeout(ctx, 10*d.reqTimeout)
-		defer cancel()
-		req, err := d.newRequest(rctx, http.MethodGet, host+"/api/v1/traces/"+hash, nil)
-		if err != nil {
+// fetchTrace pulls hash's bytes from a donor host into the local store,
+// which verifies them against the hash before committing — a corrupt
+// transfer is rejected here, never relayed onward. PutExpected makes a
+// torn, retried transfer harmless.
+func (c *run) fetchTrace(ctx context.Context, host, hash string) error {
+	return c.send(ctx, "trace-fetch "+trace.ShortHash(hash), bulk,
+		http.MethodGet, host+"/api/v1/traces/"+hash, nil, func(r io.Reader) error {
+			_, _, err := c.dist.store.PutExpected(r, hash)
 			return err
-		}
-		resp, err := d.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return &httpStatusError{status: resp.StatusCode}
-		}
-		_, _, err = d.store.PutExpected(resp.Body, hash)
-		return err
-	})
+		})
 }
 
-// push uploads the local copy of hash to one host. PUT against a
+// pushTrace uploads the local copy of hash to one host. PUT against a
 // content-addressed object is idempotent, so retries are safe.
-func (d *distributor) push(ctx context.Context, host, hash string) error {
-	return d.retry.do(ctx, "trace-push "+trace.ShortHash(hash), func(int) error {
-		f, size, err := d.store.Open(hash)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rctx, cancel := context.WithTimeout(ctx, 10*d.reqTimeout)
-		defer cancel()
-		req, err := d.newRequest(rctx, http.MethodPut, host+"/api/v1/traces/"+hash, f)
-		if err != nil {
-			return err
-		}
-		req.ContentLength = size
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := d.client.Do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-			return &httpStatusError{status: resp.StatusCode}
-		}
-		return nil
-	})
+func (c *run) pushTrace(ctx context.Context, host, hash string) error {
+	f, size, err := c.dist.store.Open(hash)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return c.send(ctx, "trace-push "+trace.ShortHash(hash), bulk,
+		http.MethodPut, host+"/api/v1/traces/"+hash,
+		&payload{data: f, size: size, contentType: "application/octet-stream"}, nil)
 }

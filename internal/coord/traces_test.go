@@ -186,3 +186,84 @@ func TestHostWithoutTraceStoreIsDropped(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceDistributionToLateJoiner: a host joining mid-run through the
+// hosts file receives the grid's traces before its first span, and a
+// joiner without a trace store is refused. The starting host is a
+// straggler that never progresses, so the joiner must finish the sweep
+// by replaying the pushed capture.
+func TestTraceDistributionToLateJoiner(t *testing.T) {
+	const insts = 5_000
+	local, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := seedCapture(t, local, "gcc", insts)
+	g := testGrid()
+	g.TraceRefs = map[string]string{"gcc": trace.FormatRef(hash)}
+	ng, err := g.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stub answers every probe 200, so it counts as holding the trace.
+	stubTS := httptest.NewServer(&stubStraggler{t: t, g: ng, wm: 0})
+	t.Cleanup(stubTS.Close)
+	joiner, joinerStore := newTraceHost(t)
+	bare := newHost(t)
+
+	hostsFile := filepath.Join(t.TempDir(), "hosts")
+	writeHostsFile(t, hostsFile, stubTS.URL)
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(context.Background(), g, Options{
+			HostsFile:      hostsFile,
+			PollInterval:   25 * time.Millisecond,
+			StallAfter:     200 * time.Millisecond,
+			RequestTimeout: 2 * time.Second,
+			Retry:          RetryPolicy{MaxAttempts: 2, BaseDelay: 30 * time.Millisecond},
+			TraceStore:     local,
+			Name:           "t-trace-late-join",
+			Logf:           t.Logf,
+		})
+		done <- outcome{res, err}
+	}()
+	time.Sleep(250 * time.Millisecond)
+	writeHostsFile(t, hostsFile, stubTS.URL, bare, joiner)
+
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not finish after the trace-capable host joined")
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !joinerStore.Has(hash) {
+		t.Error("the late joiner never received the trace")
+	}
+	for _, sh := range out.res.Shards {
+		if sh.Host != joiner {
+			t.Errorf("shard %d ran on %s, want the trace-capable joiner", sh.Index, sh.Host)
+		}
+		if len(sh.TraceFallbacks) != 0 {
+			t.Errorf("shard %d fell back to the walker: %v", sh.Index, sh.TraceFallbacks)
+		}
+	}
+	for _, h := range out.res.Hosts {
+		if h.Host == bare {
+			t.Errorf("the storeless joiner entered the run: %+v", h)
+		}
+	}
+	walk := g
+	walk.TraceRefs = nil
+	wantJSON, _ := singleHostBytes(t, walk)
+	gotJSON, _ := coordBytes(t, out.res)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("late-join trace:// merge differs from single-host walker JSON")
+	}
+}

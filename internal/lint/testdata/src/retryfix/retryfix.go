@@ -85,3 +85,24 @@ func deadline(url string) (*http.Request, context.CancelFunc, error) {
 	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	return req, cancel, err
 }
+
+// transport shows a method funnel, the shape the coordinator uses.
+type transport struct{ client *http.Client }
+
+//wclint:retry-core
+func (t *transport) send(fn func() error) error { return fn() }
+
+// viaMethodFunnel sends inside a literal passed directly to the method
+// funnel: allowed.
+func (t *transport) viaMethodFunnel(req *http.Request) error {
+	return t.send(func() error {
+		_, err := t.client.Do(req)
+		return err
+	})
+}
+
+// sibling shares the funnel's receiver but is no funnel: still flagged.
+func (t *transport) sibling(req *http.Request) {
+	resp, _ := t.client.Do(req) // want `outside the retry policy`
+	_ = resp
+}

@@ -47,6 +47,12 @@
 // accelerates Open: a missing, stale, or corrupt index triggers a full log
 // scan, never data loss.
 //
+// Durability: writes reach the kernel without fsync (only Compact syncs,
+// before its rename), so SIGKILL loses no acknowledged write but power
+// loss or an OS crash can, and Open then truncates to the intact prefix.
+// Callers whose writes must survive power loss call Sync; none here do,
+// because a lost result is a deterministic re-simulation.
+//
 // A store directory is single-writer: Open takes an exclusive advisory
 // lock (flock on unix) on the log for the life of the DB, so concurrent
 // processes sharing a directory fail fast instead of interleaving

@@ -47,7 +47,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		if err := writeSSE(w, fl, st); err != nil {
 			return
 		}
-		if st.State == "done" || st.State == "failed" || st.State == "cancelled" {
+		if st.Terminal() {
 			return
 		}
 	idle:

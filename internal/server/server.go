@@ -350,6 +350,12 @@ type JobStatus struct {
 	TraceFallbacks map[string]string `json:"traceFallbacks,omitempty"`
 }
 
+// Terminal reports whether the job has reached a final state ("done",
+// "failed" or "cancelled"), which never changes again.
+func (st JobStatus) Terminal() bool {
+	return st.State == "done" || st.State == "failed" || st.State == "cancelled"
+}
+
 // setRunning moves a queued job to running; it reports false when the job
 // was cancelled while queued and must not run.
 func (j *job) setRunning() bool {
@@ -481,7 +487,7 @@ func buildExports(cfgs []core.Config, results []*core.Result) []ExportEntry {
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state == "done" || j.state == "failed" || j.state == "cancelled"
+	return JobStatus{State: j.state}.Terminal()
 }
 
 // doomed reports whether the job is terminal or has cancellation pending:
@@ -490,11 +496,7 @@ func (j *job) terminal() bool {
 func (j *job) doomed() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case "done", "failed", "cancelled":
-		return true
-	}
-	return j.cancelled
+	return j.cancelled || JobStatus{State: j.state}.Terminal()
 }
 
 func (j *job) statusLocked() JobStatus {
