@@ -452,7 +452,7 @@ func TestOracleEquivalence(t *testing.T) {
 			}
 
 			dc, ic, fe := oracleRig(policy, dsize, isize)
-			want := referenceRun(cfg, &nextOnly{&trace.SliceSource{Insts: insts}}, dc, ic, fe)
+			want := referenceRun(cfg, &nextOnly{trace.NewMemSource(insts, trace.Header{})}, dc, ic, fe)
 			run := func(src trace.WindowSource) Stats {
 				dc, ic, fe := oracleRig(policy, dsize, isize)
 				return New(cfg, src, dc, ic, fe).Run()
@@ -460,10 +460,10 @@ func TestOracleEquivalence(t *testing.T) {
 			ctx := func(leg string) string {
 				return leg + " policy=" + policy.String() + " bench=" + bench
 			}
-			if got := run(trace.Windowed(&nextOnly{&trace.SliceSource{Insts: insts}}, bufCap)); got != want {
+			if got := run(trace.Windowed(&nextOnly{trace.NewMemSource(insts, trace.Header{})}, bufCap)); got != want {
 				t.Errorf("%s (buffer %d):\n got %+v\nwant %+v\ncfg %+v", ctx("next-path"), bufCap, got, want, cfg)
 			}
-			if got := run(trace.NewLimit(&trace.SliceSource{Insts: insts}, n)); got != want {
+			if got := run(trace.NewLimit(trace.NewMemSource(insts, trace.Header{}), n)); got != want {
 				t.Errorf("%s:\n got %+v\nwant %+v\ncfg %+v", ctx("window-path"), got, want, cfg)
 			}
 			if trial%4 == 0 {

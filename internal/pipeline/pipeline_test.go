@@ -67,7 +67,7 @@ func TestDependentChainSerializes(t *testing.T) {
 			Src1: isa.Int(1),
 		}
 	}
-	src := &trace.SliceSource{Insts: insts}
+	src := trace.NewMemSource(insts, trace.Header{})
 	st := testRig(access.DParallel, access.IParallel, src, int64(n)).Run()
 	if ipc := st.IPC(); ipc > 1.05 {
 		t.Fatalf("IPC %.2f for a serial chain; scoreboard broken", ipc)
@@ -108,7 +108,7 @@ func TestBranchMispredictionStallsFetch(t *testing.T) {
 				Taken: taken(i), Target: 0x400000,
 			})
 		}
-		return &trace.SliceSource{Insts: insts}
+		return trace.NewMemSource(insts, trace.Header{})
 	}
 	// Baseline: always not-taken (predictable, and fetch packs many
 	// branches per group). Noisy: pseudo-random outcomes of the same
@@ -137,7 +137,7 @@ func TestROBLimitsOutstandingWork(t *testing.T) {
 		pc += 4
 		insts = append(insts, trace.Inst{PC: pc, Kind: isa.KindIntALU, Dst: isa.Int(2), Src1: isa.Int(2)})
 	}
-	st := testRig(access.DParallel, access.IParallel, &trace.SliceSource{Insts: insts}, 301).Run()
+	st := testRig(access.DParallel, access.IParallel, trace.NewMemSource(insts, trace.Header{}), 301).Run()
 	// The serial ALU chain takes ~300 cycles anyway; the cold miss (~108)
 	// overlaps. Sanity: cycles >= chain length, and load+miss committed.
 	if st.Cycles < 300 {
@@ -176,7 +176,7 @@ func TestRunStopsAtMaxInsts(t *testing.T) {
 }
 
 func TestSourceDrainEndsRun(t *testing.T) {
-	src := &trace.SliceSource{Insts: seqALUs(17)}
+	src := trace.NewMemSource(seqALUs(17), trace.Header{})
 	st := testRig(access.DParallel, access.IParallel, src, 1000).Run()
 	if st.Committed != 17 {
 		t.Fatalf("committed %d, want 17 (source drained)", st.Committed)
@@ -194,7 +194,7 @@ func TestStatsAccounting(t *testing.T) {
 		)
 		pc += 12
 	}
-	st := testRig(access.DParallel, access.IParallel, &trace.SliceSource{Insts: insts}, 150).Run()
+	st := testRig(access.DParallel, access.IParallel, trace.NewMemSource(insts, trace.Header{}), 150).Run()
 	if st.Loads != 50 || st.Stores != 50 || st.FPOps != 50 {
 		t.Fatalf("op counts: %+v", st)
 	}
@@ -207,7 +207,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestDeterministicCycles(t *testing.T) {
-	mk := func() *trace.SliceSource { return &trace.SliceSource{Insts: seqALUs(500)} }
+	mk := func() *trace.MemSource { return trace.NewMemSource(seqALUs(500), trace.Header{}) }
 	a := testRig(access.DSelDMWayPred, access.IWayPred, mk(), 500).Run()
 	b := testRig(access.DSelDMWayPred, access.IWayPred, mk(), 500).Run()
 	if a != b {
@@ -233,7 +233,7 @@ func TestNonPowerOfTwoROBSize(t *testing.T) {
 	run := func(robSize int) Stats {
 		cfg := DefaultConfig(int64(n))
 		cfg.ROBSize = robSize
-		src := &trace.SliceSource{Insts: insts}
+		src := trace.NewMemSource(insts, trace.Header{})
 		hier := cache.DefaultHierarchy(32)
 		dc := access.NewDCache(access.DConfig{
 			Policy: access.DParallel,

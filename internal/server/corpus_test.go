@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"waycache/internal/access"
 	"waycache/internal/core"
 	"waycache/internal/sweep"
 )
@@ -157,5 +159,104 @@ func TestQueriesFoldNewResultsWithoutRescan(t *testing.T) {
 	getJSON(t, ts.URL+"/api/v1/stats", &stats)
 	if stats.Corpus.Records != jobs*perJob {
 		t.Errorf("stats report %d corpus records, want %d", stats.Corpus.Records, jobs*perJob)
+	}
+}
+
+// TestResultsFilterEveryColumn sends each configuration column's query
+// parameter through /api/v1/results, with one value and with a comma list
+// (k suffixes where the column is an integer: binary for sizes, decimal
+// for instruction counts), and checks the records that
+// come back against the unfiltered corpus: exactly the records whose
+// column holds one of the values, in corpus order.
+func TestResultsFilterEveryColumn(t *testing.T) {
+	store := sweep.NewStore()
+	base := core.Config{Benchmark: "gcc", Insts: 2000}
+	variants := []func(*core.Config){
+		func(c *core.Config) {},
+		func(c *core.Config) { c.Benchmark = "swim" },
+		func(c *core.Config) { c.DPolicy = access.DSelDMWayPred },
+		func(c *core.Config) { c.IPolicy = access.IWayPred },
+		func(c *core.Config) { c.DSize = 8 << 10 },
+		func(c *core.Config) { c.DWays = 2 },
+		func(c *core.Config) { c.DBlock = 16 },
+		func(c *core.Config) { c.ISize = 8 << 10 },
+		func(c *core.Config) { c.IWays = 2 },
+		func(c *core.Config) { c.IBlock = 16 },
+		func(c *core.Config) { c.DLatency = 2 },
+		func(c *core.Config) { c.TableSize = 512 },
+		func(c *core.Config) { c.VictimSize = 4 },
+		func(c *core.Config) { c.SelectiveWays = 2 },
+		func(c *core.Config) { c.UsePaperCosts = true },
+		func(c *core.Config) { c.Insts = 4000 },
+	}
+	for _, v := range variants {
+		cfg := base
+		v(&cfg)
+		if _, err := store.Result(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(Options{Workers: 1, Store: store})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	get := func(query string) []sweep.Record {
+		t.Helper()
+		body, err := getBody(ts.URL + "/api/v1/results?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []sweep.Record
+		if err := json.Unmarshal(body, &recs); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	corpus := get("")
+	if len(corpus) != len(variants) {
+		t.Fatalf("corpus holds %d records, want %d", len(corpus), len(variants))
+	}
+	itoa := func(v int) string { return fmt.Sprint(v) }
+	for _, tc := range []struct {
+		query string
+		col   func(sweep.Record) string
+		want  []string // column values the query selects
+	}{
+		{"benchmark=swim", func(r sweep.Record) string { return r.Benchmark }, []string{"swim"}},
+		{"benchmark=gcc,swim", func(r sweep.Record) string { return r.Benchmark }, []string{"gcc", "swim"}},
+		{"dpolicy=seldm%2Bwaypred", func(r sweep.Record) string { return r.DPolicy }, []string{"seldm+waypred"}},
+		{"ipolicy=waypred,parallel", func(r sweep.Record) string { return r.IPolicy }, []string{"waypred", "parallel"}},
+		{"dsize=8k", func(r sweep.Record) string { return itoa(r.DSize) }, []string{"8192"}},
+		{"dways=2,4", func(r sweep.Record) string { return itoa(r.DWays) }, []string{"2", "4"}},
+		{"dblock=16", func(r sweep.Record) string { return itoa(r.DBlock) }, []string{"16"}},
+		{"isize=8k,16k", func(r sweep.Record) string { return itoa(r.ISize) }, []string{"8192", "16384"}},
+		{"iways=2", func(r sweep.Record) string { return itoa(r.IWays) }, []string{"2"}},
+		{"iblock=16,64", func(r sweep.Record) string { return itoa(r.IBlock) }, []string{"16", "64"}},
+		{"dlatency=2", func(r sweep.Record) string { return itoa(r.DLatency) }, []string{"2"}},
+		{"tablesize=512,2k", func(r sweep.Record) string { return itoa(r.TableSize) }, []string{"512", "2048"}},
+		{"victimsize=4", func(r sweep.Record) string { return itoa(r.VictimSize) }, []string{"4"}},
+		{"selectiveways=2", func(r sweep.Record) string { return itoa(r.SelectiveWays) }, []string{"2"}},
+		{"papercosts=true", func(r sweep.Record) string { return fmt.Sprint(r.UsePaperCosts) }, []string{"true"}},
+		{"papercosts=true,false", func(r sweep.Record) string { return fmt.Sprint(r.UsePaperCosts) }, []string{"true", "false"}},
+		{"insts=4k", func(r sweep.Record) string { return fmt.Sprint(r.Insts) }, []string{"4000"}},
+		{"insts=2k,4000", func(r sweep.Record) string { return fmt.Sprint(r.Insts) }, []string{"2000", "4000"}},
+	} {
+		var want []sweep.Record
+		for _, r := range corpus {
+			if slices.Contains(tc.want, tc.col(r)) {
+				want = append(want, r)
+			}
+		}
+		if len(want) == 0 || len(want) == len(corpus) && len(tc.want) == 1 {
+			t.Fatalf("%s: corpus gives the filter nothing to tell apart", tc.query)
+		}
+		if got := get(tc.query); !slices.Equal(got, want) {
+			t.Errorf("%s: got %d records, want %d: %+v", tc.query, len(got), len(want), got)
+		}
+	}
+	for _, bad := range []string{"dways=two", "insts=4q", "papercosts=maybe"} {
+		if _, resp := fetch(t, ts.URL+"/api/v1/results?"+bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }

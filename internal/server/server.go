@@ -45,7 +45,6 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,37 +232,31 @@ func (s *Server) Close() {
 // admission is fair-share per client no matter how many jobs each one
 // has in flight.
 func (s *Server) runJob(j *job) {
-	// A job cancelled before this goroutine got scheduled is already
-	// terminal: skip it without simulating.
-	if !j.setRunning() {
-		return
-	}
 	cfgs := j.grid.Configs()
 	if j.spanHi > 0 {
 		cfgs = cfgs[j.spanLo:j.spanHi]
+	}
+	// A job cancelled before this goroutine got scheduled is already
+	// terminal: skip it without simulating.
+	if !j.setRunning(cfgs) {
+		return
 	}
 	// A fresh engine per job gives it a private progress feed and trace
 	// fallback report; the shared store still deduplicates simulations
 	// across jobs and processes, and the shared budget meters the ones
 	// that actually run.
-	o := sweep.Options{
+	eng := sweep.New(sweep.Options{
 		Workers:    s.opts.Workers,
 		Store:      s.store,
 		TraceDir:   s.opts.TraceDir,
 		TraceStore: s.opts.TraceStore,
 		Progress:   j.setProgress,
+		OnResult:   j.noteResult,
 		Budget:     s.budget,
 		Owner:      j.owner,
-	}
-	if j.exportable {
-		// Exportable jobs track per-config completion so a running job
-		// can answer partial (watermark-bounded) exports.
-		j.beginPartial(cfgs)
-		o.OnResult = j.noteResult
-	}
-	eng := sweep.New(o)
-	results, err := eng.RunConfigs(j.ctx, cfgs)
-	j.finish(cfgs, results, eng.TraceFallbacks(), err)
+	})
+	_, err := eng.RunConfigs(j.ctx, cfgs)
+	j.finish(eng.TraceFallbacks(), err)
 }
 
 // job is one submitted grid (or grid span) and its lifecycle.
@@ -277,11 +270,6 @@ type job struct {
 	// a straggler, which is an arbitrary contiguous range.
 	spanLo, spanHi int
 	total          int
-	// exportable jobs (named or spanned — the coordinator's)
-	// retain their canonical export entries after finishing; anonymous
-	// whole grid jobs keep only their Sweep, the pre-distribution
-	// footprint.
-	exportable bool
 
 	// ctx governs the job's simulations; cancel is safe to call from any
 	// state and releases the context once the job is terminal.
@@ -294,20 +282,19 @@ type job struct {
 	done      int
 	err       string
 	fallbacks map[string]string
-	exports   []ExportEntry // canonical key+payload per config, job order
-	sweep     *sweep.Sweep
 	changed   chan struct{} // closed and replaced on every status change
 
-	// Partial-progress export state, tracked only for exportable jobs
-	// while running: cfgs is the job's config slice, partial holds each
-	// finished result at its config position, and wm is the watermark —
-	// the longest finished prefix. The watermark is what lets a
-	// coordinator steal a straggler's un-exported remainder: everything
-	// before wm is exportable now (GET export?prefix=w), everything from
-	// wm on is re-submittable elsewhere. All three are released when the
-	// job finishes (the full exports replace them).
+	// From setRunning on, cfgs is the job's config slice, results holds
+	// each finished result at its config position, and wm is the
+	// watermark — the longest finished prefix. Every view of the job (its
+	// /results records, full and ?prefix=N exports) is built from these
+	// when a request arrives. The watermark is what lets a coordinator
+	// steal a straggler's un-exported remainder: everything before wm is
+	// exportable now (GET export?prefix=w), everything from wm on is
+	// re-submittable elsewhere. A failed or cancelled job releases cfgs
+	// and results.
 	cfgs    []core.Config
-	partial []*core.Result
+	results []*core.Result
 	wm      int
 }
 
@@ -338,10 +325,10 @@ type JobStatus struct {
 	Span  string `json:"span,omitempty"`
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
-	// Watermark is the longest finished prefix of an exportable job's
-	// configs: everything before it is servable by GET export?prefix=w
-	// right now, even while the job is still running. It reaches Total
-	// when the job is done.
+	// Watermark is the longest finished prefix of a job's configs: for a
+	// named or span job, everything before it is servable by GET
+	// export?prefix=w right now, even while the job is still running. It
+	// reaches Total when the job is done.
 	Watermark int    `json:"watermark,omitempty"`
 	Error     string `json:"error,omitempty"`
 	// TraceFallbacks maps each benchmark that re-simulated from the
@@ -356,15 +343,16 @@ func (st JobStatus) Terminal() bool {
 	return st.State == "done" || st.State == "failed" || st.State == "cancelled"
 }
 
-// setRunning moves a queued job to running; it reports false when the job
-// was cancelled while queued and must not run.
-func (j *job) setRunning() bool {
+// setRunning moves a queued job to running over cfgs; it reports false
+// when the job was cancelled while queued and must not run.
+func (j *job) setRunning(cfgs []core.Config) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != "queued" {
 		return false
 	}
 	j.state = "running"
+	j.cfgs, j.results = cfgs, make([]*core.Result, len(cfgs))
 	j.notifyLocked()
 	return true
 }
@@ -376,26 +364,15 @@ func (j *job) setProgress(done, total int) {
 	j.mu.Unlock()
 }
 
-// beginPartial arms partial-export tracking for a starting exportable job.
-func (j *job) beginPartial(cfgs []core.Config) {
-	j.mu.Lock()
-	j.cfgs = cfgs
-	j.partial = make([]*core.Result, len(cfgs))
-	j.wm = 0
-	j.mu.Unlock()
-}
-
 // noteResult records one finished config (engine OnResult) and advances
 // the watermark over the contiguous finished prefix. Watermark changes
 // reach event-stream watchers through the progress notification that
 // follows every completion, so no extra wakeup is needed here.
 func (j *job) noteResult(i int, res *core.Result) {
 	j.mu.Lock()
-	if j.partial != nil && i < len(j.partial) {
-		j.partial[i] = res
-		for j.wm < len(j.partial) && j.partial[j.wm] != nil {
-			j.wm++
-		}
+	j.results[i] = res
+	for j.wm < len(j.results) && j.results[j.wm] != nil {
+		j.wm++
 	}
 	j.mu.Unlock()
 }
@@ -423,28 +400,12 @@ func (j *job) requestCancel() (JobStatus, bool) {
 	}
 }
 
-func (j *job) finish(cfgs []core.Config, results []*core.Result, fallbacks map[string]string, err error) {
-	var exports []ExportEntry
-	if err == nil && j.exportable {
-		exports = buildExports(cfgs, results)
-	}
+func (j *job) finish(fallbacks map[string]string, err error) {
 	j.mu.Lock()
 	j.fallbacks = fallbacks
-	// Partial-export tracking ends with the run: a done job serves
-	// prefixes from its full exports, and a failed or cancelled job's
-	// watermark freezes at whatever prefix had finished (a stealing
-	// coordinator exports that prefix *before* cancelling, so the frozen
-	// value is only informational).
-	j.cfgs, j.partial = nil, nil
 	switch {
 	case err == nil:
 		j.state = "done"
-		j.wm = len(results)
-		j.sweep = sweep.NewSweep(results)
-		// The raw configs and results are not retained: the Sweep holds
-		// the records, exports (when built) hold the canonical payloads,
-		// and the store holds every simulation either way.
-		j.exports = exports
 	case j.cancelled || errors.Is(err, context.Canceled):
 		// Cancellation (client cancel or server Close) is its own terminal
 		// state, not a failure; the state says everything Error would.
@@ -452,35 +413,38 @@ func (j *job) finish(cfgs []core.Config, results []*core.Result, fallbacks map[s
 	default:
 		j.state, j.err = "failed", err.Error()
 	}
+	if err != nil {
+		// Only a done job serves its results. The watermark of a failed or
+		// cancelled job freezes at whatever prefix had finished (a stealing
+		// coordinator exports that prefix *before* cancelling, so the
+		// frozen value is only informational).
+		j.cfgs, j.results = nil, nil
+	}
 	j.notifyLocked()
 	j.mu.Unlock()
 	j.cancel() // release the context; terminal states never simulate again
 }
 
-// buildExports flattens finished results into canonical export entries,
-// keyed AND encoded under the submitted config — before any trace
+// exportEntry flattens one finished result into its canonical export
+// entry, keyed AND encoded under the submitted config — before any trace
 // resolution. Replay and walker runs produce identical statistics (the
 // repo's core determinism contract), so substituting the submitted config
 // makes the payload portable: no host-local trace path leaks into the
 // importing corpus, the payload's embedded Config matches the key it is
 // stored under, and a trace-enabled host exports the same bytes a
 // walker-only host would.
-func buildExports(cfgs []core.Config, results []*core.Result) []ExportEntry {
-	exports := make([]ExportEntry, 0, len(results))
-	for i, res := range results {
-		key, ok := cfgs[i].Key()
-		if !ok {
-			continue // unreachable: JSON submissions cannot carry a Source
-		}
-		rr := *res
-		rr.Config = cfgs[i]
-		payload, err := core.EncodeResult(&rr)
-		if err != nil {
-			continue // unreachable for the same reason
-		}
-		exports = append(exports, ExportEntry{Key: key, Result: payload})
+func exportEntry(cfg core.Config, res *core.Result) (ExportEntry, bool) {
+	key, ok := cfg.Key()
+	if !ok {
+		return ExportEntry{}, false // unreachable: JSON submissions cannot carry a Source
 	}
-	return exports
+	rr := *res
+	rr.Config = cfg
+	payload, err := core.EncodeResult(&rr)
+	if err != nil {
+		return ExportEntry{}, false // unreachable for the same reason
+	}
+	return ExportEntry{Key: key, Result: payload}, true
 }
 
 // terminal reports whether the job has reached a final state.
@@ -517,47 +481,26 @@ func (j *job) status() JobStatus {
 	return j.statusLocked()
 }
 
-// results returns the finished sweep, or an explanation of why there is
-// none yet.
-func (j *job) resultsDone() (*sweep.Sweep, JobStatus, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sweep, j.statusLocked(), j.state == "done"
-}
-
-// export returns the finished job's canonical export entries.
-func (j *job) export() ([]ExportEntry, JobStatus, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.exports, j.statusLocked(), j.state == "done"
-}
-
-// exportPrefix returns the job's first n canonical export entries. A done
+// prefix returns the job's first n configs and results (all of them when
+// n < 0) with its status, or ok false when they are not servable. A done
 // job serves any n up to its total; a running job serves any n up to its
 // watermark — the partial-progress export a coordinator uses to steal a
 // straggler's finished prefix before re-submitting the remainder
-// elsewhere. Watermarks only grow, so an n read from a status snapshot
-// can never race past the exportable prefix.
-func (j *job) exportPrefix(n int) ([]ExportEntry, JobStatus, bool) {
+// elsewhere. Watermarks only grow, so an n read from a status snapshot can
+// never race past the servable prefix, and everything before the
+// watermark is set-once and immutable, so callers encode the returned
+// slices without holding the lock.
+func (j *job) prefix(n int) ([]core.Config, []*core.Result, JobStatus, bool) {
 	j.mu.Lock()
-	if j.state == "done" {
-		defer j.mu.Unlock()
-		if n > len(j.exports) {
-			return nil, j.statusLocked(), false
-		}
-		return j.exports[:n], j.statusLocked(), true
-	}
-	if j.state != "running" || j.partial == nil || n > j.wm {
-		defer j.mu.Unlock()
-		return nil, j.statusLocked(), false
-	}
+	defer j.mu.Unlock()
 	st := j.statusLocked()
-	// Snapshot under the lock, encode outside it: everything before the
-	// watermark is set-once and immutable, so the canonical encode must
-	// not serialize against the job's progress callbacks.
-	cfgs, partial := j.cfgs[:n], j.partial[:n]
-	j.mu.Unlock()
-	return buildExports(cfgs, partial), st, true
+	if n < 0 && j.state == "done" {
+		n = len(j.results)
+	}
+	if n < 0 || n > j.wm || (j.state != "done" && j.state != "running") {
+		return nil, nil, st, false
+	}
+	return j.cfgs[:n], j.results[:n], st, true
 }
 
 // --- handlers ---
@@ -675,8 +618,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		owner: clientID(r),
 		grid:  g, spanLo: spanLo, spanHi: spanHi,
 		total: total, state: "queued",
-		exportable: req.Name != "" || spanHi > 0,
-		ctx:        jctx, cancel: jcancel,
+		ctx: jctx, cancel: jcancel,
 		changed: make(chan struct{}),
 	}
 	s.jobs[j.id] = j
@@ -755,7 +697,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	// The store keeps every simulated result; eviction only drops the
-	// job's bookkeeping (status, retained export results).
+	// job's bookkeeping (status, retained results).
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": id})
 }
 
@@ -764,14 +706,14 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	sw, st, done := j.resultsDone()
-	if !done {
+	_, results, st, ok := j.prefix(-1)
+	if !ok {
 		// Not an error JSON: the status body tells a poller exactly where
 		// the job stands (including a failure's message).
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
-	writeSweep(w, r, sw)
+	writeSweep(w, r, sweep.NewSweep(results))
 }
 
 // ExportEntry is one line of a job export stream: the canonical memo key
@@ -789,40 +731,37 @@ func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if !j.exportable {
-		// Anonymous whole-grid jobs do not retain export payloads (only
-		// their records); exporting is the coordinator workflow, which
-		// always names its jobs.
+	if j.name == "" && j.spanHi == 0 {
+		// Exporting is the coordinator workflow, which always names its
+		// jobs; an anonymous whole-grid job answers /results instead.
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("job %s was submitted without a name or span and has no export; use /results", j.id))
 		return
 	}
-	var (
-		exports []ExportEntry
-		st      JobStatus
-		ok      bool
-	)
+	n := -1
 	if p := r.URL.Query().Get("prefix"); p != "" {
 		// ?prefix=N serves the first N canonical entries. Against a running
 		// job this is the partial-progress export the elastic coordinator
 		// uses to bank a straggler's finished prefix before stealing the
 		// remainder; N must not exceed the job's watermark.
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 {
+		var err error
+		if n, err = strconv.Atoi(p); err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad prefix %q: want a non-negative integer", p))
 			return
 		}
-		exports, st, ok = j.exportPrefix(n)
-	} else {
-		exports, st, ok = j.export()
 	}
+	cfgs, results, st, ok := j.prefix(n)
 	if !ok {
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	for _, e := range exports {
+	for i, res := range results {
+		e, ok := exportEntry(cfgs[i], res)
+		if !ok {
+			continue
+		}
 		if err := enc.Encode(e); err != nil {
 			return
 		}
@@ -1033,7 +972,7 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 // queryRecords returns the request's filtered view of the corpus, in
 // canonical order.
 func (s *Server) queryRecords(r *http.Request) ([]sweep.Record, error) {
-	f, err := parseFilter(r)
+	f, err := sweep.ParseFilter(r.URL.Query())
 	if err != nil {
 		return nil, err
 	}
@@ -1042,47 +981,6 @@ func (s *Server) queryRecords(r *http.Request) ([]sweep.Record, error) {
 		return nil, err
 	}
 	return f.Apply(corpus), nil
-}
-
-// parseFilter builds a sweep.Filter from query parameters. Every dimension
-// takes a comma-separated list; integer dimensions accept k/m suffixes
-// like the CLI flags.
-func parseFilter(r *http.Request) (sweep.Filter, error) {
-	q := r.URL.Query()
-	var f sweep.Filter
-	f.Benchmarks = splitParam(q.Get("benchmark"))
-	f.DPolicies = splitParam(q.Get("dpolicy"))
-	f.IPolicies = splitParam(q.Get("ipolicy"))
-	for _, dim := range []struct {
-		name string
-		dst  *[]int
-	}{
-		{"dsize", &f.DSizes}, {"dways", &f.DWays}, {"dblock", &f.DBlocks},
-		{"isize", &f.ISizes}, {"iways", &f.IWays}, {"iblock", &f.IBlocks},
-		{"dlatency", &f.DLatencies}, {"tablesize", &f.TableSizes}, {"victimsize", &f.VictimSizes},
-		{"selectiveways", &f.SelectiveWays},
-	} {
-		v, err := sweep.ParseIntList(q.Get(dim.name))
-		if err != nil {
-			return f, fmt.Errorf("%s: %w", dim.name, err)
-		}
-		*dim.dst = v
-	}
-	if v := q.Get("papercosts"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return f, fmt.Errorf("papercosts: %w", err)
-		}
-		f.UsePaperCosts = &b
-	}
-	if v := q.Get("insts"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return f, fmt.Errorf("insts: %w", err)
-		}
-		f.Insts = n
-	}
-	return f, nil
 }
 
 // --- small helpers ---
@@ -1119,14 +1017,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func splitParam(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -157,7 +157,7 @@ func TestStoreRecordsCollapsesAndOrders(t *testing.T) {
 			want = append(want, NewRecord(res))
 		}
 	}
-	if CompareRecords(want[0], want[1]) != 0 || want[0] == want[1] {
+	if CompareRecords(&want[0], &want[1]) != 0 || want[0] == want[1] {
 		t.Fatalf("narrow and default cores must compare equal and differ, got %v", want)
 	}
 	got, err := store.Records()

@@ -372,20 +372,30 @@ func ParseTraceRefs(s string) (map[string]string, error) {
 func ParseIntList(s string) ([]int, error) {
 	var out []int
 	for _, f := range splitList(s) {
-		mult := 1
-		switch {
-		case strings.HasSuffix(strings.ToLower(f), "k"):
-			mult, f = 1<<10, f[:len(f)-1]
-		case strings.HasSuffix(strings.ToLower(f), "m"):
-			mult, f = 1<<20, f[:len(f)-1]
-		}
-		v, err := strconv.Atoi(f)
+		v, err := parseCount(f, 1<<10)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: bad dimension value %q", f)
+			return nil, err
 		}
-		out = append(out, v*mult)
+		out = append(out, int(v))
 	}
 	return out, nil
+}
+
+// parseCount reads one integer with an optional k (times k) or m (times
+// k*k) suffix.
+func parseCount(f string, k int64) (int64, error) {
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(strings.ToLower(f), "k"):
+		mult, f = k, f[:len(f)-1]
+	case strings.HasSuffix(strings.ToLower(f), "m"):
+		mult, f = k*k, f[:len(f)-1]
+	}
+	v, err := strconv.ParseInt(f, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("sweep: bad dimension value %q", f)
+	}
+	return v * mult, nil
 }
 
 func policyNames() string {

@@ -6,76 +6,76 @@ package sweep
 // consumer of a result corpus.
 
 import (
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Filter selects records by exact-match dimension values. Empty (nil or
-// zero) fields match everything, so the zero Filter selects every record.
+// Filter selects records by exact-match configuration values. The zero
+// Filter selects every record; ParseFilter builds the rest.
 type Filter struct {
-	Benchmarks []string
-	DPolicies  []string // paper names, as Record carries them
-	IPolicies  []string
-
-	DSizes, DWays, DBlocks []int
-	ISizes, IWays, IBlocks []int
-	DLatencies             []int
-	TableSizes             []int
-	VictimSizes            []int
-	SelectiveWays          []int
-
-	// UsePaperCosts: nil matches both cost models, otherwise exact.
-	UsePaperCosts *bool
-
-	Insts int64 // 0 matches any instruction count
+	conds []cond
 }
 
-func matchString(allowed []string, v string) bool {
-	if len(allowed) == 0 {
-		return true
+// cond is one filtered column and its allowed values: text for a string
+// column, keys for a numeric one.
+type cond struct {
+	col  *column
+	strs []string
+	keys []int64
+}
+
+// ParseFilter builds a Filter from /results query parameters, one per
+// configuration column (benchmark, dpolicy, ..., papercosts, insts). Every
+// parameter takes a comma-separated list; integer columns accept k/m
+// suffixes, binary like the CLI flags except for the decimal insts.
+// Absent or empty parameters match anything.
+func ParseFilter(q url.Values) (Filter, error) {
+	var f Filter
+	for i := range dims {
+		c := &dims[i]
+		vals := splitList(q.Get(c.param))
+		if len(vals) == 0 {
+			continue
+		}
+		cd := cond{col: c}
+		if c.key == nil {
+			cd.strs = vals
+		} else {
+			for _, v := range vals {
+				k, err := c.parse(v)
+				if err != nil {
+					return Filter{}, fmt.Errorf("%s: %w", c.param, err)
+				}
+				cd.keys = append(cd.keys, k)
+			}
+		}
+		f.conds = append(f.conds, cd)
 	}
-	for _, a := range allowed {
-		if a == v {
-			return true
+	return f, nil
+}
+
+// Match reports whether r satisfies every column f sets; it visits only
+// those columns.
+func (f Filter) Match(r *Record) bool {
+	for i := range f.conds {
+		c := &f.conds[i]
+		if c.col.key == nil {
+			if !slices.Contains(c.strs, c.col.text(r)) {
+				return false
+			}
+		} else if !slices.Contains(c.keys, c.col.key(r)) {
+			return false
 		}
 	}
-	return false
-}
-
-func matchInt(allowed []int, v int) bool {
-	if len(allowed) == 0 {
-		return true
-	}
-	for _, a := range allowed {
-		if a == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Match reports whether r satisfies every populated dimension of f.
-func (f Filter) Match(r Record) bool {
-	return matchString(f.Benchmarks, r.Benchmark) &&
-		matchString(f.DPolicies, r.DPolicy) &&
-		matchString(f.IPolicies, r.IPolicy) &&
-		matchInt(f.DSizes, r.DSize) &&
-		matchInt(f.DWays, r.DWays) &&
-		matchInt(f.DBlocks, r.DBlock) &&
-		matchInt(f.ISizes, r.ISize) &&
-		matchInt(f.IWays, r.IWays) &&
-		matchInt(f.IBlocks, r.IBlock) &&
-		matchInt(f.DLatencies, r.DLatency) &&
-		matchInt(f.TableSizes, r.TableSize) &&
-		matchInt(f.VictimSizes, r.VictimSize) &&
-		matchInt(f.SelectiveWays, r.SelectiveWays) &&
-		(f.UsePaperCosts == nil || *f.UsePaperCosts == r.UsePaperCosts) &&
-		(f.Insts == 0 || f.Insts == r.Insts)
+	return true
 }
 
 // Apply returns the records matching f, in their incoming order.
@@ -83,145 +83,64 @@ func (f Filter) Apply(recs []Record) []Record {
 	// Grown by append, so a narrow filter over a large corpus allocates
 	// only what it returns; never nil, so no match encodes as [].
 	out := []Record{}
-	for _, r := range recs {
-		if f.Match(r) {
-			out = append(out, r)
+	for i := range recs {
+		if f.Match(&recs[i]) {
+			out = append(out, recs[i])
 		}
 	}
 	return out
 }
 
 // CompareRecords orders records by their configuration columns in the grid
-// expansion order (benchmark slowest, victim-list size fastest), so a
+// expansion order (benchmark slowest, instruction count fastest), so a
 // sorted record set from any source — a log scan, a merge of shards —
 // reads like one deterministic grid.
-func CompareRecords(a, b Record) int {
-	if c := strings.Compare(a.Benchmark, b.Benchmark); c != 0 {
-		return c
-	}
-	if c := strings.Compare(a.DPolicy, b.DPolicy); c != 0 {
-		return c
-	}
-	if c := strings.Compare(a.IPolicy, b.IPolicy); c != 0 {
-		return c
-	}
-	boolInt := func(v bool) int {
-		if v {
-			return 1
+func CompareRecords(a, b *Record) int {
+	for i := range dims {
+		c := &dims[i]
+		var d int
+		if c.key == nil {
+			d = strings.Compare(c.text(a), c.text(b))
+		} else {
+			d = cmp.Compare(c.key(a), c.key(b))
 		}
-		return 0
-	}
-	ints := [][2]int{
-		{a.DSize, b.DSize}, {a.DWays, b.DWays}, {a.DBlock, b.DBlock},
-		{a.ISize, b.ISize}, {a.IWays, b.IWays}, {a.IBlock, b.IBlock},
-		{a.DLatency, b.DLatency}, {a.TableSize, b.TableSize}, {a.VictimSize, b.VictimSize},
-		{a.SelectiveWays, b.SelectiveWays},
-		{boolInt(a.UsePaperCosts), boolInt(b.UsePaperCosts)},
-	}
-	for _, p := range ints {
-		if p[0] != p[1] {
-			if p[0] < p[1] {
-				return -1
-			}
-			return 1
+		if d != 0 {
+			return d
 		}
-	}
-	switch {
-	case a.Insts < b.Insts:
-		return -1
-	case a.Insts > b.Insts:
-		return 1
 	}
 	return 0
 }
 
 // SortRecords sorts records canonically (see CompareRecords), in place.
 func SortRecords(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return CompareRecords(recs[i], recs[j]) < 0 })
+	sort.SliceStable(recs, func(i, j int) bool { return CompareRecords(&recs[i], &recs[j]) < 0 })
 }
 
 // Dimensions lists the group-by dimension names Aggregate accepts — the
 // Record configuration columns, spelled like the JSON/CSV headers.
-func Dimensions() []string {
-	return []string{
-		"benchmark", "dPolicy", "iPolicy",
-		"dSize", "dWays", "dBlock", "iSize", "iWays", "iBlock",
-		"dLatency", "tableSize", "victimSize", "selectiveWays", "usePaperCosts",
-	}
-}
+func Dimensions() []string { return names(dims) }
 
 // Metrics lists the metric names Aggregate accepts — the Record result
 // columns, spelled like the JSON/CSV headers.
-func Metrics() []string {
-	return []string{
-		"cycles", "ipc",
-		"dMissRate", "iMissRate", "wayPredAccuracy", "iWayAccuracy",
-		"dCacheEnergy", "iCacheEnergy", "procEnergy", "dCacheED", "procED",
+func Metrics() []string { return names(metrics) }
+
+func names(cols []column) []string {
+	out := make([]string, len(cols))
+	for i := range cols {
+		out[i] = cols[i].name
 	}
+	return out
 }
 
-// dimValue renders one configuration column of r as its group label.
-func dimValue(r Record, dim string) (string, error) {
-	switch dim {
-	case "benchmark":
-		return r.Benchmark, nil
-	case "dPolicy":
-		return r.DPolicy, nil
-	case "iPolicy":
-		return r.IPolicy, nil
-	case "dSize":
-		return strconv.Itoa(r.DSize), nil
-	case "dWays":
-		return strconv.Itoa(r.DWays), nil
-	case "dBlock":
-		return strconv.Itoa(r.DBlock), nil
-	case "iSize":
-		return strconv.Itoa(r.ISize), nil
-	case "iWays":
-		return strconv.Itoa(r.IWays), nil
-	case "iBlock":
-		return strconv.Itoa(r.IBlock), nil
-	case "dLatency":
-		return strconv.Itoa(r.DLatency), nil
-	case "tableSize":
-		return strconv.Itoa(r.TableSize), nil
-	case "victimSize":
-		return strconv.Itoa(r.VictimSize), nil
-	case "selectiveWays":
-		return strconv.Itoa(r.SelectiveWays), nil
-	case "usePaperCosts":
-		return strconv.FormatBool(r.UsePaperCosts), nil
+// lookup finds the column called name among cols; what names the kind of
+// column in the error.
+func lookup(cols []column, name, what string) (*column, error) {
+	for i := range cols {
+		if cols[i].name == name {
+			return &cols[i], nil
+		}
 	}
-	return "", fmt.Errorf("sweep: unknown dimension %q (have %s)", dim, strings.Join(Dimensions(), ", "))
-}
-
-// metricValue extracts one result column of r.
-func metricValue(r Record, metric string) (float64, error) {
-	switch metric {
-	case "cycles":
-		return float64(r.Cycles), nil
-	case "ipc":
-		return r.IPC, nil
-	case "dMissRate":
-		return r.DMissRate, nil
-	case "iMissRate":
-		return r.IMissRate, nil
-	case "wayPredAccuracy":
-		return r.WayPredAccuracy, nil
-	case "iWayAccuracy":
-		return r.IWayAccuracy, nil
-	case "dCacheEnergy":
-		return r.DCacheEnergy, nil
-	case "iCacheEnergy":
-		return r.ICacheEnergy, nil
-	case "procEnergy":
-		return r.ProcEnergy, nil
-	case "dCacheED":
-		return r.DCacheED, nil
-	case "procED":
-		return r.ProcED, nil
-	}
-	return 0, fmt.Errorf("sweep: unknown metric %q (have %s)", metric, strings.Join(Metrics(), ", "))
+	return nil, fmt.Errorf("sweep: unknown %s %q (have %s)", what, name, strings.Join(names(cols), ", "))
 }
 
 // GroupStat summarizes one group's metric values.
@@ -238,6 +157,14 @@ type GroupStat struct {
 // canonical sorted order of their records, so the output bytes depend only
 // on the record set, never on map iteration or arrival order.
 func Aggregate(recs []Record, dim, metric string) ([]GroupStat, error) {
+	dc, err := lookup(dims, dim, "dimension")
+	if err != nil {
+		return nil, err
+	}
+	mc, err := lookup(metrics, metric, "metric")
+	if err != nil {
+		return nil, err
+	}
 	sorted := make([]Record, len(recs))
 	copy(sorted, recs)
 	SortRecords(sorted)
@@ -246,15 +173,8 @@ func Aggregate(recs []Record, dim, metric string) ([]GroupStat, error) {
 		order []string
 		acc   = make(map[string]*GroupStat)
 	)
-	for _, r := range sorted {
-		label, err := dimValue(r, dim)
-		if err != nil {
-			return nil, err
-		}
-		v, err := metricValue(r, metric)
-		if err != nil {
-			return nil, err
-		}
+	for i := range sorted {
+		label, v := dc.text(&sorted[i]), mc.value(&sorted[i])
 		g, ok := acc[label]
 		if !ok {
 			g = &GroupStat{Group: label, Min: v, Max: v}

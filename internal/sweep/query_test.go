@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -33,20 +34,52 @@ func TestFilterMatch(t *testing.T) {
 	recs := queryRecords()
 	for _, tc := range []struct {
 		name string
-		f    Filter
+		q    url.Values
 		want int
 	}{
-		{"zero filter matches all", Filter{}, 4},
-		{"benchmark", Filter{Benchmarks: []string{"gcc"}}, 3},
-		{"policy", Filter{DPolicies: []string{"seldm+waypred"}}, 1},
-		{"geometry", Filter{DWays: []int{2}}, 2},
-		{"conjunction", Filter{Benchmarks: []string{"gcc"}, DPolicies: []string{"parallel"}, DWays: []int{4}}, 1},
-		{"insts", Filter{Insts: 999}, 0},
-		{"no match", Filter{Benchmarks: []string{"mcf"}}, 0},
+		{"zero filter matches all", nil, 4},
+		{"benchmark", url.Values{"benchmark": {"gcc"}}, 3},
+		{"policy", url.Values{"dpolicy": {"seldm+waypred"}}, 1},
+		{"geometry", url.Values{"dways": {"2"}}, 2},
+		{"list", url.Values{"dways": {"2,8"}, "benchmark": {"swim,gcc"}}, 2},
+		{"conjunction", url.Values{"benchmark": {"gcc"}, "dpolicy": {"parallel"}, "dways": {"4"}}, 1},
+		{"k suffix", url.Values{"dsize": {"16k"}}, 4},
+		{"insts", url.Values{"insts": {"999"}}, 0},
+		{"no match", url.Values{"benchmark": {"mcf"}}, 0},
 	} {
-		if got := len(tc.f.Apply(recs)); got != tc.want {
+		f, err := ParseFilter(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := len(f.Apply(recs)); got != tc.want {
 			t.Errorf("%s: matched %d records, want %d", tc.name, got, tc.want)
 		}
+	}
+	for _, bad := range []url.Values{{"dways": {"two"}}, {"papercosts": {"maybe"}}, {"insts": {"1x"}}} {
+		if _, err := ParseFilter(bad); err == nil {
+			t.Errorf("ParseFilter(%v) accepted a malformed value", bad)
+		}
+	}
+}
+
+// TestQueryAllocationFree: the canonical sort and the filter run over the
+// whole corpus on every query, so neither may allocate per record.
+func TestQueryAllocationFree(t *testing.T) {
+	recs := queryRecords()
+	f, err := ParseFilter(url.Values{"benchmark": {"gcc"}, "dways": {"2,4"}, "papercosts": {"false"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := range recs {
+			if f.Match(&recs[i]) {
+				n++
+			}
+			n += CompareRecords(&recs[i], &recs[(i+1)%len(recs)])
+		}
+	}); avg != 0 {
+		t.Errorf("Match and CompareRecords allocate %.1f times per pass", avg)
 	}
 }
 

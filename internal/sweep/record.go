@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 
 	"waycache/internal/core"
@@ -113,34 +114,17 @@ func (s *Sweep) WriteJSON(w io.Writer) error {
 	return enc.Encode(s.Records)
 }
 
-// csvHeader lists the CSV columns, in Record field order.
-var csvHeader = []string{
-	"benchmark", "dPolicy", "iPolicy",
-	"dSize", "dWays", "dBlock", "iSize", "iWays", "iBlock",
-	"dLatency", "tableSize", "victimSize", "selectiveWays", "usePaperCosts", "insts",
-	"cycles", "ipc",
-	"dMissRate", "iMissRate", "wayPredAccuracy", "iWayAccuracy",
-	"dCacheEnergy", "iCacheEnergy", "procEnergy", "dCacheED", "procED",
-}
-
-// WriteCSV emits the records as CSV with a header row.
+// WriteCSV emits the records as CSV with a header row, one column per
+// entry of columns.
 func (s *Sweep) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	if err := cw.Write(names(columns)); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	d := strconv.Itoa
-	for _, r := range s.Records {
-		row := []string{
-			r.Benchmark, r.DPolicy, r.IPolicy,
-			d(r.DSize), d(r.DWays), d(r.DBlock), d(r.ISize), d(r.IWays), d(r.IBlock),
-			d(r.DLatency), d(r.TableSize), d(r.VictimSize),
-			d(r.SelectiveWays), strconv.FormatBool(r.UsePaperCosts),
-			strconv.FormatInt(r.Insts, 10),
-			strconv.FormatInt(r.Cycles, 10), f(r.IPC),
-			f(r.DMissRate), f(r.IMissRate), f(r.WayPredAccuracy), f(r.IWayAccuracy),
-			f(r.DCacheEnergy), f(r.ICacheEnergy), f(r.ProcEnergy), f(r.DCacheED), f(r.ProcED),
+	row := make([]string, len(columns))
+	for k := range s.Records {
+		for i := range columns {
+			row[i] = columns[i].text(&s.Records[k])
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -148,4 +132,102 @@ func (s *Sweep) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// column is one Record field as every view of a record sees it: the CSV
+// writer, the /results filter, the canonical sort and the aggregation all
+// loop over columns, so a field added to Record and to this table reaches
+// each of them at once.
+type column struct {
+	name  string // JSON key and CSV header
+	param string // /results query parameter; empty for result columns
+	text  func(*Record) string
+	// key orders and matches a numeric configuration column (booleans as
+	// 0/1), and parse reads one filter value into a key; string
+	// configuration columns order and match by text.
+	key   func(*Record) int64
+	parse func(string) (int64, error)
+	value func(*Record) float64 // result columns
+}
+
+// columns declares Record's columns in field order: the configuration
+// columns, slowest-varying first, then the result columns.
+var columns = []column{
+	strCol("benchmark", "benchmark", func(r *Record) string { return r.Benchmark }),
+	strCol("dPolicy", "dpolicy", func(r *Record) string { return r.DPolicy }),
+	strCol("iPolicy", "ipolicy", func(r *Record) string { return r.IPolicy }),
+	intCol("dSize", "dsize", func(r *Record) int64 { return int64(r.DSize) }),
+	intCol("dWays", "dways", func(r *Record) int64 { return int64(r.DWays) }),
+	intCol("dBlock", "dblock", func(r *Record) int64 { return int64(r.DBlock) }),
+	intCol("iSize", "isize", func(r *Record) int64 { return int64(r.ISize) }),
+	intCol("iWays", "iways", func(r *Record) int64 { return int64(r.IWays) }),
+	intCol("iBlock", "iblock", func(r *Record) int64 { return int64(r.IBlock) }),
+	intCol("dLatency", "dlatency", func(r *Record) int64 { return int64(r.DLatency) }),
+	intCol("tableSize", "tablesize", func(r *Record) int64 { return int64(r.TableSize) }),
+	intCol("victimSize", "victimsize", func(r *Record) int64 { return int64(r.VictimSize) }),
+	intCol("selectiveWays", "selectiveways", func(r *Record) int64 { return int64(r.SelectiveWays) }),
+	{
+		name: "usePaperCosts", param: "papercosts",
+		text: func(r *Record) string { return strconv.FormatBool(r.UsePaperCosts) },
+		key:  func(r *Record) int64 { return boolKey(r.UsePaperCosts) },
+		parse: func(s string) (int64, error) {
+			b, err := strconv.ParseBool(s)
+			return boolKey(b), err
+		},
+	},
+	{
+		name: "insts", param: "insts",
+		text: func(r *Record) string { return strconv.FormatInt(r.Insts, 10) },
+		key:  func(r *Record) int64 { return r.Insts },
+		// Instruction counts are decimal: insts=20k is 20,000.
+		parse: func(s string) (int64, error) { return parseCount(s, 1000) },
+	},
+	{
+		name:  "cycles",
+		text:  func(r *Record) string { return strconv.FormatInt(r.Cycles, 10) },
+		value: func(r *Record) float64 { return float64(r.Cycles) },
+	},
+	floatCol("ipc", func(r *Record) float64 { return r.IPC }),
+	floatCol("dMissRate", func(r *Record) float64 { return r.DMissRate }),
+	floatCol("iMissRate", func(r *Record) float64 { return r.IMissRate }),
+	floatCol("wayPredAccuracy", func(r *Record) float64 { return r.WayPredAccuracy }),
+	floatCol("iWayAccuracy", func(r *Record) float64 { return r.IWayAccuracy }),
+	floatCol("dCacheEnergy", func(r *Record) float64 { return r.DCacheEnergy }),
+	floatCol("iCacheEnergy", func(r *Record) float64 { return r.ICacheEnergy }),
+	floatCol("procEnergy", func(r *Record) float64 { return r.ProcEnergy }),
+	floatCol("dCacheED", func(r *Record) float64 { return r.DCacheED }),
+	floatCol("procED", func(r *Record) float64 { return r.ProcED }),
+}
+
+// dims and metrics split columns into its configuration columns (the
+// group-by dimensions and filters) and its result columns.
+var (
+	dims    = columns[:slices.IndexFunc(columns, func(c column) bool { return c.param == "" })]
+	metrics = columns[len(dims):]
+)
+
+func strCol(name, param string, f func(*Record) string) column {
+	return column{name: name, param: param, text: f}
+}
+
+func intCol(name, param string, f func(*Record) int64) column {
+	return column{
+		name: name, param: param, key: f,
+		parse: func(s string) (int64, error) { return parseCount(s, 1<<10) },
+		text:  func(r *Record) string { return strconv.FormatInt(f(r), 10) },
+	}
+}
+
+func boolKey(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func floatCol(name string, f func(*Record) float64) column {
+	return column{
+		name: name, value: f,
+		text: func(r *Record) string { return strconv.FormatFloat(f(r), 'g', -1, 64) },
+	}
 }

@@ -279,12 +279,12 @@ func (s *Store) CorpusStats() (records int, rescans int64) {
 func mergeRecords(old, add []Record) []Record {
 	out := make([]Record, 0, len(old)+len(add))
 	i := 0
-	for _, r := range add {
-		for i < len(old) && CompareRecords(old[i], r) <= 0 {
+	for k := range add {
+		for i < len(old) && CompareRecords(&old[i], &add[k]) <= 0 {
 			out = append(out, old[i])
 			i++
 		}
-		out = append(out, r)
+		out = append(out, add[k])
 	}
 	return dedupeRecords(append(out, old[i:]...))
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -247,7 +248,46 @@ func TestRecordFields(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("CSV has %d lines, want header+1", len(lines))
 	}
-	if got := len(strings.Split(lines[0], ",")); got != len(csvHeader) {
-		t.Errorf("CSV header has %d columns, want %d", got, len(csvHeader))
+	if got, want := lines[0], strings.Join(names(columns), ","); got != want {
+		t.Errorf("CSV header = %q, want %q", got, want)
+	}
+
+	// The column table is Record's schema: one column per field, in field
+	// order, named by the field's JSON tag, configuration columns (with a
+	// query parameter and a sort key or text) before result columns (with
+	// a value), and each column reading its own field and no other.
+	rt := reflect.TypeOf(Record{})
+	if rt.NumField() != len(columns) {
+		t.Fatalf("Record has %d fields, columns has %d entries", rt.NumField(), len(columns))
+	}
+	var zero Record
+	for i := range columns {
+		c := &columns[i]
+		if tag := rt.Field(i).Tag.Get("json"); c.name != tag {
+			t.Errorf("column %d is %q, Record field %s is tagged %q", i, c.name, rt.Field(i).Name, tag)
+		}
+		if (c.param != "") != (i < len(dims)) || (c.value != nil) != (i >= len(dims)) {
+			t.Errorf("column %q: configuration and result columns are mixed", c.name)
+		}
+		var one Record
+		switch f := reflect.ValueOf(&one).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		default:
+			f.SetInt(7)
+		}
+		for k := range columns {
+			d := &columns[k]
+			moved := d.text(&one) != d.text(&zero) ||
+				d.key != nil && d.key(&one) != d.key(&zero) ||
+				d.value != nil && d.value(&one) != d.value(&zero)
+			if moved != (k == i) {
+				t.Errorf("setting field %s moves column %q: %v", rt.Field(i).Name, d.name, moved)
+			}
+		}
 	}
 }

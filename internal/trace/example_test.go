@@ -61,10 +61,10 @@ func ExampleWriter() {
 func ExampleReader() {
 	// Capture a little stream to a buffer (stand-in for a .wct file).
 	var buf bytes.Buffer
-	src := &trace.SliceSource{Insts: []trace.Inst{
+	src := trace.NewMemSource([]trace.Inst{
 		{PC: 0x2000, Kind: isa.KindLoad, Dst: 1, Addr: 0x60_0000, BaseValue: 0x60_0000},
 		{PC: 0x2004, Kind: isa.KindStore, Src2: 1, Addr: 0x70_0000, BaseValue: 0x70_0000},
-	}}
+	}, trace.Header{})
 	if _, err := trace.Capture(&buf, trace.Header{Benchmark: "demo", Insts: 2}, src); err != nil {
 		log.Fatal(err)
 	}

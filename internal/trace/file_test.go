@@ -286,7 +286,7 @@ func TestCaptureStopsAtDeclaredCount(t *testing.T) {
 }
 
 func TestCaptureShortSourceFails(t *testing.T) {
-	src := &SliceSource{Insts: wellFormed()}
+	src := NewMemSource(wellFormed(), Header{})
 	var buf bytes.Buffer
 	if _, err := Capture(&buf, Header{Insts: 10_000}, src); err == nil {
 		t.Fatal("Capture of a too-short source succeeded")
@@ -297,7 +297,7 @@ func TestCaptureFileAndOpen(t *testing.T) {
 	insts := wellFormed()
 	path := filepath.Join(t.TempDir(), "synthetic"+FileExt)
 	h := Header{Benchmark: "synthetic", Seed: 7, Insts: int64(len(insts))}
-	if err := CaptureFile(path, h, &SliceSource{Insts: insts}); err != nil {
+	if err := CaptureFile(path, h, NewMemSource(insts, Header{})); err != nil {
 		t.Fatalf("CaptureFile: %v", err)
 	}
 	f, err := Open(path)
@@ -320,7 +320,7 @@ func TestCaptureFileAndOpen(t *testing.T) {
 
 func TestCaptureFileRemovesPartialOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad"+FileExt)
-	err := CaptureFile(path, Header{Insts: 99}, &SliceSource{Insts: wellFormed()})
+	err := CaptureFile(path, Header{Insts: 99}, NewMemSource(wellFormed(), Header{}))
 	if err == nil {
 		t.Fatal("CaptureFile of a short source succeeded")
 	}

@@ -98,37 +98,6 @@ type WindowSource interface {
 	Advance(n int)
 }
 
-// SliceSource replays a fixed slice of instructions. It is primarily a test
-// helper but is also useful for user-supplied traces.
-type SliceSource struct {
-	Insts []Inst
-	pos   int
-}
-
-// Next implements Source.
-func (s *SliceSource) Next(out *Inst) bool {
-	if s.pos >= len(s.Insts) {
-		return false
-	}
-	*out = s.Insts[s.pos]
-	s.pos++
-	return true
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Window implements WindowSource: the unconsumed tail of the slice.
-func (s *SliceSource) Window() []Inst {
-	if s.pos >= len(s.Insts) {
-		return nil
-	}
-	return s.Insts[s.pos:]
-}
-
-// Advance implements WindowSource.
-func (s *SliceSource) Advance(n int) { s.pos += n }
-
 // Repeat replays a fixed slice of instructions Times times (0 means
 // forever). Because the PCs repeat, caches and predictors warm up after the
 // first pass — convenient for timing tests that should not be dominated by

@@ -68,15 +68,15 @@ func TestNextPC(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	src := &SliceSource{Insts: []Inst{{PC: 1}, {PC: 2}, {PC: 3}}}
+func TestMemSource(t *testing.T) {
+	src := NewMemSource([]Inst{{PC: 1}, {PC: 2}, {PC: 3}}, Header{})
 	var got []uint64
 	var in Inst
 	for src.Next(&in) {
 		got = append(got, in.PC)
 	}
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("SliceSource replay = %v", got)
+		t.Fatalf("MemSource replay = %v", got)
 	}
 	if src.Next(&in) {
 		t.Fatal("exhausted source returned true")
@@ -88,7 +88,7 @@ func TestSliceSource(t *testing.T) {
 }
 
 func TestLimit(t *testing.T) {
-	src := &SliceSource{Insts: make([]Inst, 100)}
+	src := NewMemSource(make([]Inst, 100), Header{})
 	lim := NewLimit(src, 7)
 	var in Inst
 	n := 0
@@ -108,7 +108,7 @@ func TestLimit(t *testing.T) {
 	for i := range insts {
 		insts[i].PC = uint64(i)
 	}
-	base := &SliceSource{Insts: insts}
+	base := NewMemSource(insts, Header{})
 	lim = NewLimit(base, 10)
 	if !lim.Next(&in) || in.PC != 0 {
 		t.Fatalf("first Next = %d", in.PC)

@@ -321,7 +321,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ext bytes.Buffer
-			n, err := exp(&ext, &trace.SliceSource{Insts: src}, 0)
+			n, err := exp(&ext, trace.NewMemSource(src, trace.Header{}), 0)
 			if err != nil || n != int64(len(src)) {
 				t.Fatalf("export wrote %d insts, err %v", n, err)
 			}

@@ -5,7 +5,8 @@
 # completion over SSE, and require the served record bytes (JSON and
 # CSV) to be identical to what the offline cmd/sweep CLI emits
 # *serially* (-workers 1) for the same grid — the determinism contract
-# at any budget. Also checks auth enforcement and online log compaction.
+# at any budget. Also checks corpus queries (/results, /aggregate), auth
+# enforcement and online log compaction.
 # Run from the repo root; CI runs it on every push.
 set -euo pipefail
 
@@ -134,6 +135,30 @@ grep -q ' 0 simulated,' "$WORK/sweep3.log" || { echo "CSV -store run re-simulate
 cmp "$WORK/served.json" "$WORK/offline.json" || { echo "served JSON differs from serial cmd/sweep output" >&2; exit 1; }
 cmp "$WORK/served.csv" "$WORK/offline.csv" || { echo "served CSV differs from serial cmd/sweep output" >&2; exit 1; }
 
+# Corpus queries over every job's results: a filtered /results view must
+# be byte-identical (JSON and CSV) to the CLI's output for the same slice
+# recalled from its -store, and /aggregate must answer CSV under the group
+# header.
+QUERY='benchmark=gcc&dpolicy=parallel&dways=2,4&insts=20k'
+for FMT in json csv; do
+  curl -sf "${AUTH[@]}" "$BASE/api/v1/results?$QUERY&format=$FMT" >"$WORK/query.$FMT"
+  "$WORK/sweep" -benchmarks gcc -dpolicies parallel -dways 2,4 -insts 20000 -workers 1 \
+    -progress=false -store "$WORK/clistore" -format "$FMT" -out "$WORK/recall.$FMT" 2>"$WORK/recall-$FMT.log"
+  grep -q ' 0 simulated,' "$WORK/recall-$FMT.log" || {
+    echo "$FMT recall from -store re-simulated:" >&2
+    cat "$WORK/recall-$FMT.log" >&2
+    exit 1
+  }
+  cmp "$WORK/query.$FMT" "$WORK/recall.$FMT" || { echo "/results?$QUERY ($FMT) differs from cmd/sweep output" >&2; exit 1; }
+done
+CODE=$(curl -s -o "$WORK/aggregate.csv" -w '%{http_code}' "${AUTH[@]}" \
+  "$BASE/api/v1/aggregate?by=dPolicy&metric=procED&format=csv")
+[ "$CODE" = 200 ] || { echo "aggregate = $CODE, want 200" >&2; cat "$WORK/aggregate.csv" >&2; exit 1; }
+[ "$(head -n 1 "$WORK/aggregate.csv")" = "dPolicy,count,mean,min,max" ] || {
+  echo "aggregate CSV header: $(head -n 1 "$WORK/aggregate.csv")" >&2
+  exit 1
+}
+
 # Online compaction answers with stats (a fresh store has no garbage to
 # reclaim) and must not disturb the served corpus.
 COMPACT=$(curl -sf "${AUTH[@]}" -X POST "$BASE/api/v1/admin/compact")
@@ -147,4 +172,4 @@ cmp "$WORK/served.json" "$WORK/served-after-compact.json" || {
   exit 1
 }
 
-echo "waycached smoke test: OK (jobs $ID1 $ID2 $ID3 concurrent at budget 4, served bytes identical to serial cmd/sweep)"
+echo "waycached smoke test: OK (jobs $ID1 $ID2 $ID3 concurrent at budget 4, served and queried bytes identical to serial cmd/sweep)"
