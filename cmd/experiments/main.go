@@ -14,11 +14,14 @@
 // configurations — recalls results instead of re-simulating them.
 //
 // Each experiment prints the same rows/series the paper reports, produced
-// by full simulations of the synthetic benchmark suite. Simulations run
-// through the sweep engine (internal/sweep): -workers bounds the parallel
-// simulations, and one memoized result store is shared across all selected
-// experiments so common baselines are simulated once. -json replaces the
-// text tables with a JSON array of {name, summary} objects.
+// by full simulations of the synthetic benchmark suite. Every experiment
+// declares its cells once and runs them as one sweep on a shared engine
+// (internal/sweep): -workers sizes that engine, and its memoized result
+// store is shared across all selected experiments so common baselines are
+// simulated once. The stderr summary counts simulations and memo hits
+// across those sweeps (a hit is a declared cell another experiment, or
+// -store, already holds). -json replaces the text tables with a JSON array
+// of {name, summary} objects.
 package main
 
 import (
@@ -39,7 +42,7 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment names (table3..table5, fig4..fig11) or 'all'")
 	insts := flag.Int64("insts", 400_000, "instructions per benchmark per configuration")
 	benches := flag.String("benchmarks", "", "comma-separated benchmark subset (default: full suite)")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel simulations")
+	workers := flag.Int("workers", runtime.NumCPU(), "parallel simulations on the engine all experiments share")
 	storeDir := flag.String("store", "", "directory of the on-disk result store; repeated runs recall results instead of re-simulating")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of {name, summary} instead of text tables")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -52,13 +55,20 @@ func main() {
 		return
 	}
 
+	// Normalize trims blanks, expands "all" and rejects unknown names, so
+	// a bad list fails here rather than inside an experiment.
+	g, err := sweep.Grid{Benchmarks: strings.Split(*benches, ",")}.Normalize()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
 	// One engine for the whole invocation: experiments share its store, so
 	// e.g. fig4..fig6 and table5 simulate their common baselines once.
 	// With -store that memoization extends across invocations via disk.
 	store := sweep.NewStore()
 	if *storeDir != "" {
 		var db *resultdb.DB
-		var err error
 		if store, db, err = sweep.OpenDiskStore(*storeDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -70,10 +80,7 @@ func main() {
 		}()
 	}
 	eng := sweep.New(sweep.Options{Workers: *workers, Store: store})
-	opts := experiments.Options{Insts: *insts, Workers: *workers, Engine: eng}
-	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
-	}
+	opts := experiments.Options{Insts: *insts, Benchmarks: g.Benchmarks, Engine: eng}
 
 	var names []string
 	if *run == "all" {

@@ -34,14 +34,14 @@ func canonicalEntries(t *testing.T, g sweep.Grid, lo, hi int) []server.ExportEnt
 	t.Helper()
 	eng := sweep.New(sweep.Options{Workers: 2})
 	cfgs := g.Configs()[lo:hi]
+	results, err := eng.RunConfigs(context.Background(), cfgs)
+	if err != nil {
+		t.Fatalf("computing canonical result: %v", err)
+	}
 	entries := make([]server.ExportEntry, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		res, err := eng.Result(cfg)
-		if err != nil {
-			t.Fatalf("computing canonical result: %v", err)
-		}
+	for i, cfg := range cfgs {
 		key, _ := cfg.Key()
-		payload, err := core.EncodeResult(res)
+		payload, err := core.EncodeResult(results[i])
 		if err != nil {
 			t.Fatal(err)
 		}

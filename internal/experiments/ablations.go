@@ -14,13 +14,10 @@ import (
 // after observing that 2048 changes energy-delay and performance by less
 // than 1 % — this experiment regenerates that insensitivity claim.
 func AblationTableSize(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(
-		sweep.Grid{},
-		sweep.Grid{
-			DPolicies:  []access.DPolicy{access.DWayPredPC, access.DSelDMWayPred},
-			TableSizes: []int{512, 1024, 2048},
-		})
+	r := newRunner(o, append(sweep.Grid{
+		DPolicies:  []access.DPolicy{access.DWayPredPC, access.DSelDMWayPred},
+		TableSizes: []int{512, 1024, 2048},
+	}.Configs(), core.Config{})...)
 	t := stats.NewTable("Ablation: prediction-table size (relative E-D | perf)",
 		"benchmark", "policy", "512", "1024", "2048")
 	sum := map[string]float64{}
@@ -49,13 +46,10 @@ func AblationTableSize(o Options) *Report {
 // the threshold is reached, misclassifying conflicting blocks as
 // non-conflicting and paying extra mapping mispredictions.
 func AblationVictimList(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(
-		sweep.Grid{},
-		sweep.Grid{
-			DPolicies:   []access.DPolicy{access.DSelDMWayPred},
-			VictimSizes: []int{4, 16, 64},
-		})
+	r := newRunner(o, append(sweep.Grid{
+		DPolicies:   []access.DPolicy{access.DSelDMWayPred},
+		VictimSizes: []int{4, 16, 64},
+	}.Configs(), core.Config{})...)
 	t := stats.NewTable("Ablation: victim-list size, SelDM+waypred (relative E-D | mapping mispredicts per 1k loads)",
 		"benchmark", "4 entries", "16 entries", "64 entries")
 	sum := map[string]float64{}
@@ -87,20 +81,13 @@ func AblationVictimList(o Options) *Report {
 // performance loss) and Inoue et al.'s MRU way-prediction (modelled
 // optimistically, without its critical-path liability).
 func Related(o Options) *Report {
-	r := newRunner(o)
-	// Prefetch every cell the comparison can touch, including all three
-	// selective-ways settings (the tuning loop below may stop early, but
-	// simulating the rest in parallel is cheaper than serializing).
-	pre := sweep.Grid{
-		Benchmarks: r.opts.Benchmarks,
-		DPolicies:  []access.DPolicy{access.DParallel, access.DWayPredMRU, access.DSelDMWayPred},
-	}.Configs()
-	for _, bench := range r.opts.Benchmarks {
-		for _, active := range []int{1, 2, 3} {
-			pre = append(pre, core.Config{Benchmark: bench, SelectiveWays: active})
-		}
-	}
-	r.prefetch(pre...)
+	// Declare all three selective-ways settings: the tuning loop below may
+	// stop early, but simulating the rest in parallel is cheaper than
+	// serializing.
+	r := newRunner(o, append(sweep.Grid{
+		DPolicies: []access.DPolicy{access.DParallel, access.DWayPredMRU, access.DSelDMWayPred},
+	}.Configs(),
+		core.Config{SelectiveWays: 1}, core.Config{SelectiveWays: 2}, core.Config{SelectiveWays: 3})...)
 	t := stats.NewTable("Related work: selective ways and MRU way-prediction vs selective-DM (16K 4-way)",
 		"benchmark", "sel-ways best", "sel-ways E-D | perf", "MRU E-D | perf", "SelDM+WP E-D | perf")
 	sum := map[string]float64{}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (Tables 3-5, Figures 4-11) on the synthetic benchmark suite.
 //
-// Each experiment function runs the simulations it needs (memoizing shared
-// baselines), returns a Report with the same rows/series the paper plots,
-// and records headline numbers in Report.Summary for tests and benchmarks.
+// Each experiment function declares the cells it needs once, runs them as
+// one sweep on the engine (memoizing shared baselines), returns a Report
+// with the same rows/series the paper plots, and records headline numbers
+// in Report.Summary for tests and benchmarks.
 // cmd/experiments exposes them on the command line; the repository-level
 // benchmark suite (bench_test.go) wraps each one.
 package experiments
@@ -12,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 
 	"waycache/internal/core"
@@ -27,12 +27,10 @@ type Options struct {
 	Insts int64
 	// Benchmarks to include (default: the full Table 2 suite).
 	Benchmarks []string
-	// Workers bounds concurrent simulations (default: runtime.NumCPU()).
-	Workers int
-	// Engine optionally shares a sweep engine — and with it a memoized
-	// result store — across experiments, so baselines common to several
-	// tables/figures are simulated exactly once. Nil means a private
-	// engine with Workers workers.
+	// Engine runs every experiment's declared cells. Sharing one engine —
+	// and with it a memoized result store — across experiments simulates
+	// baselines common to several tables/figures exactly once; its
+	// Workers size the fan-out. Nil means a private default engine.
 	Engine *sweep.Engine
 }
 
@@ -43,11 +41,8 @@ func (o Options) withDefaults() Options {
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = workload.Names()
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
-	}
 	if o.Engine == nil {
-		o.Engine = sweep.New(sweep.Options{Workers: o.Workers})
+		o.Engine = sweep.New(sweep.Options{})
 	}
 	return o
 }
@@ -119,55 +114,48 @@ func ByName(name string) (Func, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, known)
 }
 
-// runner submits an experiment's simulations through the sweep engine.
-// run is memoized by canonical config (cross-experiment when
-// Options.Engine is shared); prefetch fans a whole grid out over the
-// engine's worker pool so the serial table-building loops that follow hit
-// the memo instead of simulating one config at a time.
+// runner holds an experiment's simulations. Each experiment declares its
+// cells once, as benchmark-less templates; newRunner crosses them with
+// Options.Benchmarks, pins Options.Insts and runs the lot in one sweep over
+// the engine's worker pool (memoized by canonical config, across
+// experiments when Options.Engine is shared). The reporting loops then
+// read cells back with run.
 type runner struct {
-	opts Options
-	eng  *sweep.Engine
+	opts    Options
+	results map[string]*core.Result
 }
 
-func newRunner(o Options) *runner {
+func newRunner(o Options, cells ...core.Config) *runner {
 	o = o.withDefaults()
-	return &runner{opts: o, eng: o.Engine}
-}
-
-// cfg pins the run's instruction budget onto an experiment config.
-func (r *runner) cfg(c core.Config) core.Config {
-	c.Insts = r.opts.Insts
-	return c
-}
-
-func (r *runner) run(c core.Config) *core.Result {
-	res, err := r.eng.Result(r.cfg(c))
+	cfgs := make([]core.Config, 0, len(cells)*len(o.Benchmarks))
+	for _, bench := range o.Benchmarks {
+		for _, c := range cells {
+			c.Benchmark, c.Insts = bench, o.Insts
+			cfgs = append(cfgs, c)
+		}
+	}
+	results, err := o.Engine.RunConfigs(context.Background(), cfgs)
 	if err != nil {
 		// Experiment configs are static data, exactly as with core.MustRun
 		// before the sweep engine existed.
 		panic(err)
 	}
+	r := &runner{opts: o, results: make(map[string]*core.Result, len(cfgs))}
+	for i, c := range cfgs {
+		key, _ := c.Key()
+		r.results[key] = results[i]
+	}
+	return r
+}
+
+// run returns a declared cell's result. Reading a cell the experiment did
+// not declare is a programming error, like any other static-data fault.
+func (r *runner) run(c core.Config) *core.Result {
+	c.Insts = r.opts.Insts
+	key, _ := c.Key()
+	res, ok := r.results[key]
+	if !ok {
+		panic("experiments: read of undeclared cell " + key)
+	}
 	return res
-}
-
-// prefetch simulates configs in parallel ahead of the serial reporting
-// loops. Grids passed here may include cells an experiment only sometimes
-// reads; the memo makes the extra cost at most one simulation per cell.
-func (r *runner) prefetch(cfgs ...core.Config) {
-	for i := range cfgs {
-		cfgs[i] = r.cfg(cfgs[i])
-	}
-	if _, err := r.eng.RunConfigs(context.Background(), cfgs); err != nil {
-		panic(err)
-	}
-}
-
-// prefetchGrid expands grids and prefetches all their cells at once.
-func (r *runner) prefetchGrid(grids ...sweep.Grid) {
-	var cfgs []core.Config
-	for _, g := range grids {
-		g.Benchmarks = r.opts.Benchmarks
-		cfgs = append(cfgs, g.Configs()...)
-	}
-	r.prefetch(cfgs...)
 }

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"waycache/internal/access"
+	"waycache/internal/core"
 )
 
 // fastOpts keeps experiment tests quick: three representative benchmarks,
@@ -167,4 +170,23 @@ func TestRelatedWorkOrdering(t *testing.T) {
 		t.Errorf("SelDM+WP E-D %v not better than selective ways %v",
 			rep.Summary["sdmED"], rep.Summary["selWaysED"])
 	}
+}
+
+func TestRunnerPanicsOnUndeclaredCell(t *testing.T) {
+	o := Options{Insts: 20_000, Benchmarks: []string{"gcc"}}
+	r := newRunner(o, core.Config{})
+	if res := r.run(core.Config{Benchmark: "gcc"}); res == nil {
+		t.Fatal("declared cell has no result")
+	}
+	undeclared := core.Config{Benchmark: "gcc", DPolicy: access.DSequential}
+	want := undeclared
+	want.Insts = o.Insts
+	key, _ := want.Key()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, key) {
+			t.Fatalf("reading an undeclared cell recovered %q, want a panic naming %q", msg, key)
+		}
+	}()
+	r.run(undeclared)
 }

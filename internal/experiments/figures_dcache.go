@@ -11,8 +11,7 @@ import (
 // d-cache energy-delay and performance degradation per benchmark, vs the
 // 1-cycle parallel-access baseline.
 func Figure4(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(sweep.Grid{DPolicies: []access.DPolicy{access.DParallel, access.DSequential}})
+	r := newRunner(o, sweep.Grid{DPolicies: []access.DPolicy{access.DParallel, access.DSequential}}.Configs()...)
 	t := stats.NewTable("Figure 4: sequential-access cache, relative to 1-cycle parallel",
 		"benchmark", "relative E-D", "perf degradation")
 	var eds, perfs []float64
@@ -40,9 +39,8 @@ func Figure4(o Options) *Report {
 // energy-delay, performance degradation and prediction accuracy for both
 // handles.
 func Figure5(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(sweep.Grid{DPolicies: []access.DPolicy{
-		access.DParallel, access.DWayPredPC, access.DWayPredXOR}})
+	r := newRunner(o, sweep.Grid{DPolicies: []access.DPolicy{
+		access.DParallel, access.DWayPredPC, access.DWayPredXOR}}.Configs()...)
 	t := stats.NewTable("Figure 5: PC- vs XOR-based way-prediction",
 		"benchmark", "PC rel E-D", "PC perf", "PC accuracy",
 		"XOR rel E-D", "XOR perf", "XOR accuracy")
@@ -96,7 +94,6 @@ func breakdownRow(res *core.Result) []string {
 // for selective-DM with parallel, way-predicted and sequential handling of
 // conflicting accesses, plus the access breakdown.
 func Figure6(o Options) *Report {
-	r := newRunner(o)
 	ed := stats.NewTable("Figure 6: selective-DM schemes (relative E-D | perf degradation)",
 		"benchmark", "SelDM+parallel", "SelDM+waypred", "SelDM+sequential",
 		"waypred-PC (ref)", "sequential (ref)")
@@ -107,7 +104,7 @@ func Figure6(o Options) *Report {
 		access.DSelDMParallel, access.DSelDMWayPred, access.DSelDMSequential,
 		access.DWayPredPC, access.DSequential,
 	}
-	r.prefetchGrid(sweep.Grid{DPolicies: append([]access.DPolicy{access.DParallel}, pols...)})
+	r := newRunner(o, sweep.Grid{DPolicies: append([]access.DPolicy{access.DParallel}, pols...)}.Configs()...)
 	sums := make(map[access.DPolicy][]float64)
 	perfs := make(map[access.DPolicy][]float64)
 	var dmFracs []float64
@@ -152,11 +149,10 @@ func Figure6(o Options) *Report {
 // 32 KB selective-DM + way-prediction, each relative to the parallel cache
 // of the same size.
 func Figure7(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(sweep.Grid{
+	r := newRunner(o, sweep.Grid{
 		DSizes:    []int{16 << 10, 32 << 10},
 		DPolicies: []access.DPolicy{access.DParallel, access.DSelDMWayPred},
-	})
+	}.Configs()...)
 	t := stats.NewTable("Figure 7: selective-DM+waypred, 16K vs 32K (relative E-D | perf)",
 		"benchmark", "16K", "32K")
 	sum := map[string]float64{}
@@ -186,11 +182,10 @@ func Figure7(o Options) *Report {
 // 8-way selective-DM + way-prediction, each relative to the parallel cache
 // of the same associativity, with the access breakdown.
 func Figure8(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(sweep.Grid{
+	r := newRunner(o, sweep.Grid{
 		DWays:     []int{2, 4, 8},
 		DPolicies: []access.DPolicy{access.DParallel, access.DSelDMWayPred},
-	})
+	}.Configs()...)
 	t := stats.NewTable("Figure 8: selective-DM+waypred by associativity (relative E-D | perf)",
 		"benchmark", "2-way", "4-way", "8-way")
 	bd := stats.NewTable("Figure 8 (bottom): 8-way access breakdown",
@@ -223,14 +218,13 @@ func Figure8(o Options) *Report {
 // base d-cache, where a mispredicted or sequential access takes 3 cycles.
 // Everything is relative to the 2-cycle parallel cache.
 func Figure9(o Options) *Report {
-	r := newRunner(o)
 	t := stats.NewTable("Figure 9: 2-cycle d-cache (relative E-D | perf degradation)",
 		"benchmark", "SelDM+waypred", "SelDM+sequential", "sequential")
 	pols := []access.DPolicy{access.DSelDMWayPred, access.DSelDMSequential, access.DSequential}
-	r.prefetchGrid(sweep.Grid{
+	r := newRunner(o, sweep.Grid{
 		DLatencies: []int{2},
 		DPolicies:  append([]access.DPolicy{access.DParallel}, pols...),
-	})
+	}.Configs()...)
 	eds := map[access.DPolicy][]float64{}
 	perfs := map[access.DPolicy][]float64{}
 	for _, bench := range r.opts.Benchmarks {

@@ -11,11 +11,10 @@ import (
 // i-caches with BTB/RAS/SAWP way prediction, each relative to the parallel
 // i-cache of the same associativity, plus the access-source breakdown.
 func Figure10(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(sweep.Grid{
+	r := newRunner(o, sweep.Grid{
 		IWays:     []int{2, 4, 8},
 		IPolicies: []access.IPolicy{access.IParallel, access.IWayPred},
-	})
+	}.Configs()...)
 	t := stats.NewTable("Figure 10: i-cache way-prediction by associativity (relative E-D | perf)",
 		"benchmark", "2-way", "4-way", "8-way")
 	bd := stats.NewTable("Figure 10 (bottom): 4-way access breakdown",
@@ -61,13 +60,8 @@ func Figure10(o Options) *Report {
 // as relative processor energy and energy-delay against the all-parallel
 // baseline, with the perfect-way-prediction bound.
 func Figure11(o Options) *Report {
-	r := newRunner(o)
-	r.prefetchGrid(
-		sweep.Grid{},
-		sweep.Grid{
-			DPolicies: []access.DPolicy{access.DSelDMWayPred},
-			IPolicies: []access.IPolicy{access.IWayPred},
-		})
+	r := newRunner(o, core.Config{},
+		core.Config{DPolicy: access.DSelDMWayPred, IPolicy: access.IWayPred})
 	t := stats.NewTable("Figure 11: overall processor energy (d: SelDM+waypred, i: waypred)",
 		"benchmark", "rel energy", "rel E-D", "perf degradation", "perfect-waypred E-D", "L1 share (base)")
 	var relE, relED, perfs, perfED, shares []float64

@@ -55,7 +55,7 @@ func Table4(o Options) *Report {
 	for _, name := range o.Benchmarks {
 		p, err := workload.ByName(name)
 		if err != nil {
-			continue
+			panic(err)
 		}
 		dm := cache.New(cache.Config{Name: "dm", SizeBytes: 16 << 10, Ways: 1, BlockBytes: 32})
 		sa := cache.New(cache.Config{Name: "sa", SizeBytes: 16 << 10, Ways: 4, BlockBytes: 32})
@@ -81,7 +81,6 @@ func Table4(o Options) *Report {
 // Table5 reproduces the d-cache technique summary: average energy-delay
 // savings and average performance loss for the six design options.
 func Table5(o Options) *Report {
-	r := newRunner(o)
 	type tech struct {
 		name string
 		pol  access.DPolicy
@@ -98,7 +97,7 @@ func Table5(o Options) *Report {
 	for _, tc := range techs {
 		pols = append(pols, tc.pol)
 	}
-	r.prefetchGrid(sweep.Grid{DPolicies: pols})
+	r := newRunner(o, sweep.Grid{DPolicies: pols}.Configs()...)
 	t := stats.NewTable("Table 5: d-cache summary (averages over the suite)",
 		"technique", "avg E-D savings", "avg perf loss", "max perf loss")
 	sum := map[string]float64{}

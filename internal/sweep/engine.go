@@ -111,12 +111,6 @@ func (e *Engine) Store() *Store { return e.store }
 // re-simulated is visible in summaries, not silent.
 func (e *Engine) TraceFallbacks() map[string]string { return e.traces.fallbackReport() }
 
-// Result simulates (or recalls) a single configuration through the store,
-// replaying a captured trace when the engine's trace directory has one.
-func (e *Engine) Result(cfg core.Config) (*core.Result, error) {
-	return e.result(context.Background(), cfg)
-}
-
 // result is the budget-aware lookup every worker uses: without a budget
 // it is a plain store lookup; with one, an actual simulation first
 // acquires a slot under the engine's owner, waiting its fair-share turn.

@@ -325,23 +325,6 @@ func ParseIPolicies(s string) ([]access.IPolicy, error) {
 	return pols, nil
 }
 
-// ParseBenchmarks resolves "all" (or "") to the full workload suite, or a
-// comma-separated list of names validated against it.
-func ParseBenchmarks(s string) ([]string, error) {
-	s = strings.TrimSpace(s)
-	if s == "all" || s == "" {
-		return workload.Names(), nil
-	}
-	var names []string
-	for _, n := range splitList(s) {
-		if _, err := workload.ByName(n); err != nil {
-			return nil, err
-		}
-		names = append(names, n)
-	}
-	return names, nil
-}
-
 // ParseTraceRefs parses a comma-separated "bench=trace://<hash>" list
 // into a Grid.TraceRefs map. The empty string parses to nil.
 func ParseTraceRefs(s string) (map[string]string, error) {

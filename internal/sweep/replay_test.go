@@ -14,6 +14,12 @@ import (
 	"waycache/internal/workload"
 )
 
+// runOne simulates (or recalls) a single configuration through eng.
+func runOne(eng *Engine, cfg core.Config) (*core.Result, error) {
+	res, err := eng.RunConfigs(context.Background(), []core.Config{cfg})
+	return res[0], err
+}
+
 func captureBench(t *testing.T, dir, bench string, n int64) string {
 	t.Helper()
 	p, err := workload.ByName(bench)
@@ -135,7 +141,7 @@ func TestTraceFallbackReasons(t *testing.T) {
 		dir := t.TempDir()
 		captureBench(t, dir, "gcc", 1_000)
 		eng := New(Options{TraceDir: dir})
-		if _, err := eng.Result(core.Config{Benchmark: "gcc", Insts: 50_000}); err != nil {
+		if _, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: 50_000}); err != nil {
 			t.Fatal(err)
 		}
 		if why := eng.TraceFallbacks()["gcc"]; !strings.Contains(why, "1000") || !strings.Contains(why, "50000") {
@@ -155,7 +161,7 @@ func TestTraceFallbackReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := New(Options{TraceDir: dir})
-		if _, err := eng.Result(core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
+		if _, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
 			t.Fatal(err)
 		}
 		if why := eng.TraceFallbacks()["gcc"]; !strings.Contains(why, "stale") {
@@ -170,7 +176,7 @@ func TestTraceFallbackReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := New(Options{TraceDir: dir})
-		if _, err := eng.Result(core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
+		if _, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
 			t.Fatal(err)
 		}
 		if why := eng.TraceFallbacks()["gcc"]; why == "" {
@@ -180,7 +186,7 @@ func TestTraceFallbackReasons(t *testing.T) {
 
 	t.Run("no trace dir", func(t *testing.T) {
 		eng := New(Options{})
-		if _, err := eng.Result(core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
+		if _, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
 			t.Fatal(err)
 		}
 		if fb := eng.TraceFallbacks(); fb != nil {
@@ -192,7 +198,7 @@ func TestTraceFallbackReasons(t *testing.T) {
 		dir := t.TempDir()
 		captureBench(t, dir, "gcc", insts)
 		eng := New(Options{TraceDir: dir})
-		if _, err := eng.Result(core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
+		if _, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: insts}); err != nil {
 			t.Fatal(err)
 		}
 		if fb := eng.TraceFallbacks(); len(fb) != 0 {
@@ -205,7 +211,7 @@ func TestTraceDirRejectsShortCapture(t *testing.T) {
 	dir := t.TempDir()
 	captureBench(t, dir, "gcc", 1_000)
 	eng := New(Options{TraceDir: dir})
-	res, err := eng.Result(core.Config{Benchmark: "gcc", Insts: 50_000})
+	res, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +235,7 @@ func TestTraceDirRejectsStaleSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{TraceDir: dir})
-	res, err := eng.Result(core.Config{Benchmark: "gcc", Insts: insts})
+	res, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: insts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestTraceDirIgnoresCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{TraceDir: dir})
-	res, err := eng.Result(core.Config{Benchmark: "gcc", Insts: insts})
+	res, err := runOne(eng, core.Config{Benchmark: "gcc", Insts: insts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func TestRunError(t *testing.T) {
 		t.Fatal("unknown benchmark did not fail the sweep")
 	}
 	// The error is memoized: retrying fails the same way without panicking.
-	if _, err := eng.Result(core.Config{Benchmark: "no-such-benchmark", Insts: 20_000}); err == nil {
+	if _, err := runOne(eng, core.Config{Benchmark: "no-such-benchmark", Insts: 20_000}); err == nil {
 		t.Fatal("memoized error lookup succeeded")
 	}
 }

@@ -148,7 +148,7 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 		}
 		// The run itself then fails with the resolution error.
 		eng := New(Options{TraceStore: store})
-		if _, err := eng.Result(cfg); err == nil {
+		if _, err := runOne(eng, cfg); err == nil {
 			t.Fatal("Result succeeded for a reference that resolves nowhere")
 		}
 	})

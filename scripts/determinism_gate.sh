@@ -5,8 +5,11 @@
 # workload walker and a fresh .wct capture replay — and byte-diffs every
 # output against the checked-in golden fixtures (testdata/golden_sweep.json
 # / .csv), then checks that three -shard pieces concatenate to the golden
-# CSV body. Any drift means a change to simulation behaviour, which a perf
-# refactor must not cause; regenerate the fixtures (GOLDEN=regen) only for
+# CSV body. An experiments leg checks that the paper's evaluation is
+# worker-count independent, that a second run against the same -store
+# recalls every cell, and that a bad -benchmarks list fails with a
+# one-line error. Any drift means a change to simulation behaviour, which
+# a perf refactor must not cause; regenerate the fixtures (GOLDEN=regen) only for
 # a PR that intentionally changes the model.
 set -eu
 
@@ -16,6 +19,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/sweep" ./cmd/sweep
 go build -o "$tmp/tracegen" ./cmd/tracegen
+go build -o "$tmp/experiments" ./cmd/experiments
 
 BENCHES="gcc,swim"
 POLICIES="parallel,sequential,waypred-pc,seldm+waypred"
@@ -85,4 +89,31 @@ tail -n +2 testdata/golden_sweep.csv >"$tmp/golden.body"
 cmp "$tmp/golden.body" "$tmp/shards.body" ||
     { echo "determinism gate: -shard i/3 CSV bodies do not concatenate to the golden body" >&2; exit 1; }
 
-echo "determinism gate: OK (walker == replay == golden, serial and 4 workers, twice; 3 shards == golden)"
+# Experiments leg: every experiment's declared sweep yields the same
+# summaries with 1 and 4 workers; a second run against the same -store
+# recalls every cell (0 simulations) and reproduces the bytes; an unknown
+# benchmark exits 2 with a one-line error, not a panic.
+run_exp() { # $1=out $2=stderr $3... extra flags
+    outf=$1; errf=$2; shift 2
+    "$tmp/experiments" -run all -json -insts 20000 -benchmarks "$BENCHES" "$@" >"$outf" 2>"$errf" ||
+        { cat "$errf" >&2; echo "determinism gate: experiments run failed" >&2; exit 1; }
+}
+run_exp "$tmp/exp_w1.json" "$tmp/exp_w1.err" -workers 1
+run_exp "$tmp/exp_w4.json" "$tmp/exp_w4.err" -workers 4
+cmp "$tmp/exp_w1.json" "$tmp/exp_w4.json" ||
+    { echo "determinism gate: -workers 4 experiments differ from serial" >&2; exit 1; }
+run_exp "$tmp/exp_s1.json" "$tmp/exp_s1.err" -store "$tmp/expstore"
+run_exp "$tmp/exp_s2.json" "$tmp/exp_s2.err" -store "$tmp/expstore"
+grep -q '\[sweep store: 0 simulations,' "$tmp/exp_s2.err" ||
+    { cat "$tmp/exp_s2.err" >&2; echo "determinism gate: second -store experiments run re-simulated" >&2; exit 1; }
+cmp "$tmp/exp_s1.json" "$tmp/exp_s2.json" ||
+    { echo "determinism gate: experiments recalled from -store differ from the first run" >&2; exit 1; }
+status=0
+"$tmp/experiments" -run fig4 -benchmarks bogus >/dev/null 2>"$tmp/exp_bad.err" || status=$?
+if [ "$status" -ne 2 ] || grep -q goroutine "$tmp/exp_bad.err"; then
+    cat "$tmp/exp_bad.err" >&2
+    echo "determinism gate: -benchmarks bogus exited $status (want 2, no panic)" >&2
+    exit 1
+fi
+
+echo "determinism gate: OK (walker == replay == golden, serial and 4 workers, twice; 3 shards == golden; experiments worker- and store-stable)"
