@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"waycache/internal/access"
@@ -102,6 +104,28 @@ func TestReplayRejectsTooShortTrace(t *testing.T) {
 	path := captureBench(t, t.TempDir(), "gcc", 1_000)
 	if _, err := Run(Config{Trace: path, Insts: 10_000}); err == nil {
 		t.Fatal("Run accepted a trace shorter than the requested instruction count")
+	}
+}
+
+// TestReplayShortUndeclaredTrace replays a capture that declares no
+// instruction count and holds fewer than the run needs: the run fails
+// naming how many instructions it consumed, a count that is not a
+// multiple of the arena's expansion run.
+func TestReplayShortUndeclaredTrace(t *testing.T) {
+	const have, need = 1_234, 10_000
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gcc"+trace.FileExt)
+	src := trace.NewLimit(trace.Windowed(p.NewWalker(), 512), have)
+	if err := trace.CaptureFile(path, trace.Header{Benchmark: p.Name, Seed: p.Seed}, src); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{Trace: path, Insts: need})
+	want := fmt.Sprintf("trace ended after %d of %d instructions", have, need)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("short replay error %v, want it to contain %q", err, want)
 	}
 }
 

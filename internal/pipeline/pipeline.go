@@ -543,9 +543,9 @@ func (p *Pipeline) peekInst() (*trace.Inst, bool) {
 }
 
 // refillWindow reports the consumed prefix to the source in one Advance
-// call and pulls the next window — the whole remaining trace for an
-// arena-backed replay — so steady-state fetch makes no per-instruction
-// source calls at all.
+// call and pulls the next window — a run of a few hundred instructions,
+// expanded from the arena's packed records for a replay — so
+// steady-state fetch makes no per-instruction source calls at all.
 //
 //wclint:hotpath
 func (p *Pipeline) refillWindow() bool {

@@ -5,10 +5,12 @@ package trace
 // A design-space sweep replays the same few <benchmark>.wct captures for
 // every grid cell, and before the arena each cell paid the full streaming
 // decode (varint parsing, per-record validation) again. The arena decodes
-// each file once into a shared []Inst and hands every simulation an
-// index-replay MemSource over that slice, so an N-config grid decodes each
-// capture once instead of N/gridsize times — and replay becomes a pure
-// pointer walk with no per-instruction decode on the simulation hot path.
+// each file once into a shared slice of 24-byte packed records (packed.go)
+// and hands every simulation an index-replay MemSource over that slice, so
+// an N-config grid decodes each capture once instead of N/gridsize times.
+// Replay does no varint work: each MemSource expands a fixed run of
+// records at a time into its own fetch-window buffer, a few field copies
+// per instruction.
 //
 // Replay semantics are contractually identical to streaming the file with
 // Reader: the same instructions in the same order, and the same errors
@@ -29,9 +31,10 @@ import (
 )
 
 // DefaultArenaCap bounds the shared arena's resident instructions
-// (48 bytes each, so the default keeps up to 768 MiB of decoded traces).
-// Long-lived processes (waycached) sweep many grids over the same handful
-// of captures; least-recently-used files are evicted past the cap.
+// (24-byte packed records, so the default keeps up to 384 MiB of decoded
+// traces). Long-lived processes (waycached) sweep many grids over the
+// same handful of captures; least-recently-used files are evicted past
+// the cap.
 const DefaultArenaCap = 16 << 20
 
 // Arena caches decoded trace files. Path-keyed entries (Load) are
@@ -56,10 +59,16 @@ type arenaEntry struct {
 	mtime time.Time
 
 	h         Header
-	insts     []Inst
-	openErr   error // open/header failure: the whole load failed
-	decodeErr error // record-stream failure after len(insts) good records
+	recs      []record
+	esc       []Inst // the instructions escaped records index
+	openErr   error  // open/header failure: the whole load failed
+	decodeErr error  // record-stream failure after len(recs) good records
 	lastUse   int64
+}
+
+// bytes is the memory the entry's decoded trace occupies.
+func (e *arenaEntry) bytes() int64 {
+	return int64(len(e.recs))*recordBytes + int64(len(e.esc))*instBytes
 }
 
 // NewArena returns an arena bounded to capInsts resident instructions
@@ -90,7 +99,7 @@ func (a *Arena) Load(path string) (*MemSource, error) {
 	e := a.entries[path]
 	if e == nil || e.size != fi.Size() || !e.mtime.Equal(fi.ModTime()) {
 		if e != nil && e.lastUse != 0 {
-			a.resident -= int64(len(e.insts)) // re-captured file: drop the stale decode
+			a.resident -= int64(len(e.recs)) // re-captured file: drop the stale decode
 		}
 		e = &arenaEntry{size: fi.Size(), mtime: fi.ModTime()}
 		a.entries[path] = e
@@ -151,22 +160,23 @@ func (a *Arena) finish(key string, e *arenaEntry) (*MemSource, error) {
 	// forever.
 	if a.entries[key] == e {
 		if e.lastUse == 0 { // first successful use: account its footprint
-			a.resident += int64(len(e.insts))
+			a.resident += int64(len(e.recs))
 		}
 		e.lastUse = a.tick
 		a.evictLocked()
 	}
 	a.mu.Unlock()
 
-	return &MemSource{insts: e.insts, h: e.h, decodeErr: e.decodeErr}, nil
+	return newMemSource(e.recs, e.esc, e.h, e.decodeErr), nil
 }
 
 // decode reads the whole file, verifies it against wantHash when one is
-// given, and decodes its records in place into one preallocated slice. A
-// hash mismatch turns the whole load into an open error: nothing is
-// cached or served under a hash the bytes do not carry. The records go
-// through the same decoder as Reader, so the good prefix and the deferred
-// error of a corrupt file are exactly what streaming it would give.
+// given, and decodes its records in place into one preallocated slice of
+// packed records. A hash mismatch turns the whole load into an open
+// error: nothing is cached or served under a hash the bytes do not
+// carry. The records go through the same decoder as Reader, so the good
+// prefix and the deferred error of a corrupt file are exactly what
+// streaming it would give.
 func (e *arenaEntry) decode(path, wantHash string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -195,20 +205,20 @@ func (e *arenaEntry) decode(path, wantHash string) {
 	// Preallocate from the declared count, but never trust it past what
 	// the file could physically hold (records are at least one byte): a
 	// corrupt header must not drive a huge allocation.
-	insts := make([]Inst, min(h.Insts, int64(len(body))))
+	recs := make([]record, min(h.Insts, int64(len(body))))
 	d := decoder{declared: h.Insts}
 	for !d.done() {
-		if d.read == int64(len(insts)) { // undeclared count: grow
-			insts = append(insts, Inst{})
-			insts = insts[:cap(insts)]
+		if d.read == int64(len(recs)) { // undeclared count: grow
+			recs = append(recs, record{})
+			recs = recs[:cap(recs)]
 		}
-		n, ok := d.next(body, io.EOF, &insts[d.read])
+		n, ok := d.next(body, io.EOF, &recs[d.read])
 		if !ok {
 			break
 		}
 		body = body[n:]
 	}
-	e.insts, e.decodeErr = insts[:d.read], d.err
+	e.recs, e.esc, e.decodeErr = recs[:d.read], d.esc, d.err
 }
 
 // evictLocked drops least-recently-used entries until the arena is within
@@ -232,7 +242,7 @@ func (a *Arena) evictLocked() {
 		if old == nil || old.lastUse == a.tick {
 			return // nothing evictable but the entry just used
 		}
-		a.resident -= int64(len(old.insts))
+		a.resident -= int64(len(old.recs))
 		delete(a.entries, oldPath)
 	}
 }
@@ -251,50 +261,101 @@ func (a *Arena) Resident() int64 {
 	return a.resident
 }
 
-// MemSource replays a decoded instruction slice by index: the Source the
-// arena hands each simulation. Next is a bounds check and a struct copy —
-// no I/O, no decoding, no allocation.
+// ResidentBytes returns the memory the resident decoded traces occupy:
+// their packed records plus the instructions they escape.
+func (a *Arena) ResidentBytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var n int64
+	for _, e := range a.entries {
+		if e.lastUse != 0 { // accounted in resident: decoded and mapped
+			n += e.bytes()
+		}
+	}
+	return n
+}
+
+// MemSource replays a decoded trace by index: the Source the arena hands
+// each simulation. The packed records are shared; each MemSource expands
+// up to expandRun of them at a time into its own buffer, which Window
+// exposes and Next copies from — no I/O, no varint decoding and no
+// allocation once the source is built.
 type MemSource struct {
-	insts     []Inst
-	pos       int
+	recs      []record
+	esc       []Inst
+	pos       int    // records consumed
+	win       []Inst // the expanded records from pos on, a prefix of buf
+	buf       []Inst
 	h         Header
 	decodeErr error
 }
 
-// NewMemSource returns a MemSource over insts with header h (primarily for
-// tests; arena Load is the production constructor).
+// expandRun is the number of records a MemSource expands per window: far
+// past the fetch stride, and its 12 KiB buffer stays cache-resident.
+const expandRun = 256
+
+func newMemSource(recs []record, esc []Inst, h Header, decodeErr error) *MemSource {
+	return &MemSource{
+		recs: recs, esc: esc, h: h, decodeErr: decodeErr,
+		buf: make([]Inst, min(expandRun, len(recs))),
+	}
+}
+
+// NewMemSource returns a MemSource over a packed copy of insts with header
+// h (primarily for tests; arena Load is the production constructor).
 func NewMemSource(insts []Inst, h Header) *MemSource {
-	return &MemSource{insts: insts, h: h}
+	recs := make([]record, len(insts))
+	var esc []Inst
+	for i := range insts {
+		recs[i], esc = pack(&insts[i], esc)
+	}
+	return newMemSource(recs, esc, h, nil)
 }
 
 // Next implements Source.
 //
 //wclint:hotpath
 func (m *MemSource) Next(out *Inst) bool {
-	if m.pos >= len(m.insts) {
+	w := m.Window()
+	if len(w) == 0 {
 		return false
 	}
-	*out = m.insts[m.pos]
-	m.pos++
+	*out = w[0]
+	m.Advance(1)
 	return true
 }
 
-// Window implements WindowSource: the entire unconsumed remainder of the
-// decoded trace, straight out of the shared arena slice — the batch fetch
-// path reads fetch strides from it without any per-instruction copy.
+// Window implements WindowSource: the expanded run of records from the
+// current position, expanding the next run once the last one is consumed.
 //
 //wclint:hotpath
 func (m *MemSource) Window() []Inst {
-	if m.pos >= len(m.insts) {
-		return nil
+	if len(m.win) == 0 {
+		if m.pos >= len(m.recs) {
+			return nil
+		}
+		m.expand()
 	}
-	return m.insts[m.pos:]
+	return m.win
+}
+
+// expand unpacks the next run of records, from the current position, into
+// the window buffer.
+//
+//wclint:hotpath
+func (m *MemSource) expand() {
+	recs := m.recs[m.pos:min(m.pos+len(m.buf), len(m.recs))]
+	unpack(recs, m.esc, m.buf)
+	m.win = m.buf[:len(recs)]
 }
 
 // Advance implements WindowSource.
 //
 //wclint:hotpath
-func (m *MemSource) Advance(n int) { m.pos += n }
+func (m *MemSource) Advance(n int) {
+	m.win = m.win[n:]
+	m.pos += n
+}
 
 // Header returns the file header of the backing trace.
 func (m *MemSource) Header() Header { return m.h }
@@ -303,7 +364,7 @@ func (m *MemSource) Header() Header { return m.h }
 func (m *MemSource) Count() int64 { return int64(m.pos) }
 
 // Remaining returns the number of records left to replay.
-func (m *MemSource) Remaining() int64 { return int64(len(m.insts) - m.pos) }
+func (m *MemSource) Remaining() int64 { return int64(len(m.recs) - m.pos) }
 
 // Err returns the decode error the backing file carries beyond the records
 // Next can reach, or nil for a clean trace. A consumer that drained fewer
@@ -313,4 +374,4 @@ func (m *MemSource) Remaining() int64 { return int64(len(m.insts) - m.pos) }
 func (m *MemSource) Err() error { return m.decodeErr }
 
 // Reset rewinds the source to the beginning.
-func (m *MemSource) Reset() { m.pos = 0 }
+func (m *MemSource) Reset() { m.pos, m.win = 0, nil }

@@ -98,7 +98,7 @@ func TestArenaDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same backing array, independent cursors.
-	if &s1.insts[0] != &s2.insts[0] {
+	if &s1.recs[0] != &s2.recs[0] {
 		t.Fatal("second Load decoded a fresh copy instead of sharing the arena slice")
 	}
 	var in Inst
@@ -229,6 +229,11 @@ func TestArenaConcurrentLoadDecodesOnce(t *testing.T) {
 				return
 			}
 			srcs[i] = src
+			// Replays share the packed records and expand them into
+			// buffers of their own.
+			if got := len(drain(src)); got != 200 {
+				t.Errorf("concurrent replay %d yields %d records, want 200", i, got)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -236,7 +241,7 @@ func TestArenaConcurrentLoadDecodesOnce(t *testing.T) {
 		return
 	}
 	for _, s := range srcs[1:] {
-		if &s.insts[0] != &srcs[0].insts[0] {
+		if &s.recs[0] != &srcs[0].recs[0] {
 			t.Fatal("concurrent loads decoded independent copies")
 		}
 	}

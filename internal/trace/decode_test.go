@@ -13,6 +13,10 @@ import (
 // suiteInsts is the length of one suite capture in a replayed sweep.
 const suiteInsts = 150_000
 
+// fetchWidth is the pipeline's fetch stride: the instructions one fetch
+// reads out of a window.
+const fetchWidth = 8
+
 // suiteCapture encodes the first n instructions of the gcc walker.
 func suiteCapture(tb testing.TB, n int64) []byte {
 	tb.Helper()
@@ -60,6 +64,34 @@ func TestReaderNextZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMemSourceWindowZeroAllocs pins arena replay as allocation-free:
+// draining a capture through Window/Advance in fetch-width strides, which
+// refills the expansion buffer dozens of times, allocates nothing once the
+// source is built.
+func TestMemSourceWindowZeroAllocs(t *testing.T) {
+	const n = 20_000
+	path := filepath.Join(t.TempDir(), "gcc"+trace.FileExt)
+	if err := os.WriteFile(path, suiteCapture(t, n), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.NewArena(0).Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		src.Reset()
+		for w := src.Window(); len(w) > 0; w = src.Window() {
+			src.Advance(min(len(w), fetchWidth))
+		}
+	})
+	if src.Err() != nil || src.Count() != n {
+		t.Fatalf("replayed %d of %d records: %v", src.Count(), n, src.Err())
+	}
+	if avg != 0 {
+		t.Fatalf("draining a %d-record capture through windows made %.0f allocations, want 0", n, avg)
+	}
+}
+
 // BenchmarkReaderNext streams a suite-sized capture through Reader.Next.
 func BenchmarkReaderNext(b *testing.B) {
 	data := suiteCapture(b, suiteInsts)
@@ -104,3 +136,39 @@ func BenchmarkArenaLoad(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteInsts), "ns/inst")
 }
+
+// BenchmarkMemSourceWindow drains a suite-sized capture, decoded once
+// through an arena, via Window/Advance in fetch-width strides: the record
+// expansion a replayed simulation pays per instruction.
+func BenchmarkMemSourceWindow(b *testing.B) {
+	data := suiteCapture(b, suiteInsts)
+	path := filepath.Join(b.TempDir(), "gcc"+trace.FileExt)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	src, err := trace.NewArena(0).Load(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pcs uint64
+	for i := 0; i < b.N; i++ {
+		src.Reset()
+		for w := src.Window(); len(w) > 0; w = src.Window() {
+			k := min(len(w), fetchWidth)
+			for j := range w[:k] {
+				pcs += w[j].PC
+			}
+			src.Advance(k)
+		}
+		if src.Count() != suiteInsts {
+			b.Fatalf("replayed %d records", src.Count())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteInsts), "ns/inst")
+	benchSink = pcs
+}
+
+// benchSink keeps benchmark loops from being optimised away.
+var benchSink uint64

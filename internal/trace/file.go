@@ -318,8 +318,13 @@ func (r *Reader) Next(out *Inst) bool {
 	if len(r.win) < maxRecordLen {
 		r.fill()
 	}
-	n, ok := r.dec.next(r.win, r.end, out)
+	r.dec.esc = r.dec.esc[:0] // the escape table only ever holds this record
+	var rec record
+	n, ok := r.dec.next(r.win, r.end, &rec)
 	r.win = r.win[n:]
+	if ok {
+		rec.inst(r.dec.esc, out)
+	}
 	return ok
 }
 
@@ -348,14 +353,16 @@ const maxRecordLen = 1 + binary.MaxVarintLen64 + 3 + 3*binary.MaxVarintLen64
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // decoder is the state of one record stream: the declared count, the
-// records decoded so far, the delta bases and the first error. Reader
-// and the arena both decode through it, so the record grammar and the
-// end-of-stream rules live here alone.
+// records decoded so far, the delta bases, the escape table and the first
+// error. Reader and the arena both decode through it into packed records
+// (packed.go), so the record grammar and the end-of-stream rules live
+// here alone.
 type decoder struct {
 	declared int64 // Header.Insts; 0 means read to end of input
 	read     int64
 	nextPC   uint64 // expected PC of the next record
 	prevAddr uint64
+	esc      []Inst // the instructions escaped records index
 	err      error
 }
 
@@ -365,16 +372,16 @@ func (d *decoder) done() bool {
 	return d.err != nil || d.declared > 0 && d.read >= d.declared
 }
 
-// next decodes the record at the head of b into *out and returns the
-// bytes it occupies. b holds at least maxRecordLen bytes unless the input
-// ends within them; end is then the error that ended it (io.EOF for a
-// clean end of file). next returns false at the end of the stream or on
-// error (see d.err), writing *out only on success. Call it only while
-// !d.done(). Errors read exactly as a byte-at-a-time stream decode reports
-// them.
+// next decodes the record at the head of b into the packed record *out
+// and returns the bytes it occupies. b holds at least maxRecordLen bytes
+// unless the input ends within them; end is then the error that ended it
+// (io.EOF for a clean end of file). next returns false at the end of the
+// stream or on error (see d.err), writing *out only on success. Call it
+// only while !d.done(). Errors read exactly as a byte-at-a-time stream
+// decode reports them.
 //
 //wclint:hotpath
-func (d *decoder) next(b []byte, end error, out *Inst) (int, bool) {
+func (d *decoder) next(b []byte, end error, out *record) (int, bool) {
 	if len(b) == 0 {
 		return 0, d.stop(end)
 	}
@@ -383,20 +390,22 @@ func (d *decoder) next(b []byte, end error, out *Inst) (int, bool) {
 	if int(kind) >= isa.NumKinds {
 		return 0, d.badOp(op)
 	}
-	in := Inst{PC: d.nextPC, Kind: kind}
+	r := record{pc: d.nextPC}
+	kb := byte(kind) // the record's kind byte
+	var dst, src1, src2 isa.Reg
 	n := 1
 	var v int64
 	if op&opPCDelta != 0 {
 		if v, n = varintAt(b, n); n <= 0 {
 			return 0, d.badVarint("pc delta", n, end)
 		}
-		in.PC += uint64(v)
+		r.pc += uint64(v)
 	}
 	if op&opRegs != 0 {
 		if len(b)-n < 3 {
 			return 0, d.badRegs(len(b)-n, end)
 		}
-		in.Dst, in.Src1, in.Src2 = isa.Reg(b[n]), isa.Reg(b[n+1]), isa.Reg(b[n+2])
+		dst, src1, src2 = isa.Reg(b[n]), isa.Reg(b[n+1]), isa.Reg(b[n+2])
 		n += 3
 	}
 	switch {
@@ -407,22 +416,26 @@ func (d *decoder) next(b []byte, end error, out *Inst) (int, bool) {
 		if v, n = varintAt(b, n); n <= 0 {
 			return 0, d.badVarint("address delta", n, end)
 		}
-		in.Addr = d.prevAddr + uint64(v)
+		r.payload = d.prevAddr + uint64(v)
 		if v, n = varintAt(b, n); n <= 0 {
 			return 0, d.badVarint("offset", n, end)
 		}
 		if v < math.MinInt32 || v > math.MaxInt32 {
 			return 0, d.badOffset(v)
 		}
-		in.Offset = int32(v)
-		in.BaseValue = in.Addr - uint64(v)
+		r.off = int32(v)
+		kb |= recMem
+		d.prevAddr = r.payload
 		if op&opBaseValue != 0 {
 			if v, n = varintAt(b, n); n <= 0 {
 				return 0, d.badVarint("base value delta", n, end)
 			}
-			in.BaseValue = in.Addr + uint64(v)
+			kb |= recEscape
+			r.payload = d.escape(Inst{
+				PC: r.pc, Kind: kind, Dst: dst, Src1: src1, Src2: src2,
+				Addr: r.payload, BaseValue: r.payload + uint64(v), Offset: r.off,
+			})
 		}
-		d.prevAddr = in.Addr
 	case kind.IsControl():
 		if op&opBaseValue != 0 {
 			return 0, d.badOp(op)
@@ -430,16 +443,19 @@ func (d *decoder) next(b []byte, end error, out *Inst) (int, bool) {
 		if v, n = varintAt(b, n); n <= 0 {
 			return 0, d.badVarint("target delta", n, end)
 		}
-		in.Target = in.PC + uint64(v)
-		in.Taken = op&opTaken != 0
+		r.payload = r.pc + uint64(v)
+		if op&opTaken != 0 {
+			kb |= recTaken
+		}
 	default:
 		if op&(opTaken|opBaseValue) != 0 {
 			return 0, d.badOp(op)
 		}
 	}
-	d.nextPC = in.PC + isa.InstBytes
+	r.meta = packMeta(kb, dst, src1, src2)
+	d.nextPC = r.pc + isa.InstBytes
 	d.read++
-	*out = in
+	*out = r
 	return n, true
 }
 
@@ -518,6 +534,17 @@ func (d *decoder) badRegs(have int, end error) bool {
 //go:noinline
 func (d *decoder) badOffset(off int64) bool {
 	return d.fail("offset %d outside int32", off)
+}
+
+// escape appends in, a memory record whose explicit base value breaks
+// the Addr - Offset invariant a packed record implies, to the escape
+// table and returns its index. It keeps the rare path's append out of
+// next.
+//
+//go:noinline
+func (d *decoder) escape(in Inst) uint64 {
+	d.esc = append(d.esc, in)
+	return uint64(len(d.esc) - 1)
 }
 
 func (d *decoder) fail(format string, args ...any) bool {

@@ -12,8 +12,9 @@ import (
 // FuzzTraceReader throws arbitrary bytes at the .wct decoder. A reader
 // fed garbage must fail cleanly (error, never panic). The arena, loading
 // the same bytes from a file, must agree with the streaming reader: the
-// same header error, or the same header, records and deferred error.
-// And whenever the reader decodes a stream cleanly, the decoded records
+// same header error, or the same header, records and deferred error,
+// whether its source is drained through Next or through Window/Advance in
+// a stride the fuzzer picks. And whenever the reader decodes a stream cleanly, the decoded records
 // must re-encode through Writer — the reader's flag validation
 // guarantees every accepted record is one the writer could have
 // produced — and decode again to the identical instruction sequence.
@@ -41,13 +42,13 @@ func FuzzTraceReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed := buf.Bytes()
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3]) // truncated mid-record
-	f.Add([]byte(Magic))      // magic without version or header
-	f.Add([]byte{})
+	f.Add(seed, uint16(0))
+	f.Add(seed[:len(seed)-3], uint16(2)) // truncated mid-record
+	f.Add([]byte(Magic), uint16(0))      // magic without version or header
+	f.Add([]byte{}, uint16(0))
 
 	path := filepath.Join(f.TempDir(), "fuzz"+FileExt) // inputs run one at a time per process
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, stride uint16) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +76,27 @@ func FuzzTraceReader(f *testing.F) {
 			if replayed[i] != insts[i] {
 				t.Fatalf("record %d: arena %+v, reader %+v", i, replayed[i], insts[i])
 			}
+		}
+		// The same records again through windows, in a stride from 1 to
+		// past two expansion runs.
+		step := 1 + int(stride)%(2*expandRun+1)
+		mem.Reset()
+		for pos := 0; ; {
+			w := mem.Window()
+			if len(w) == 0 {
+				if pos != len(insts) || mem.Count() != int64(pos) {
+					t.Fatalf("windows end at %d (Count %d), reader decodes %d", pos, mem.Count(), len(insts))
+				}
+				break
+			}
+			k := min(step, len(w))
+			for j := range w[:k] {
+				if pos+j >= len(insts) || w[j] != insts[pos+j] {
+					t.Fatalf("stride %d, record %d: arena window %+v differs from the reader", step, pos+j, w[j])
+				}
+			}
+			mem.Advance(k)
+			pos += k
 		}
 		if errText(mem.Err()) != errText(r.Err()) {
 			t.Fatalf("arena error %q, reader error %q", errText(mem.Err()), errText(r.Err()))

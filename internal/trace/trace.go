@@ -11,9 +11,10 @@
 // docs/TRACE_FORMAT.md) is versioned and varint-delta-compressed, so
 // sweeps replay recorded workloads byte-identically without re-walking
 // the generators. Hot replay paths go through the process-wide Arena
-// (arena.go), which decodes each capture once into a shared []Inst and
-// replays it by index (MemSource), so an N-config sweep pays one decode
-// per file instead of one per simulation.
+// (arena.go), which decodes each capture once into a shared slice of
+// 24-byte packed records (packed.go) and replays it by index
+// (MemSource), expanding one fetch window of records at a time, so an
+// N-config sweep pays one decode per file instead of one per simulation.
 package trace
 
 import "waycache/internal/isa"
@@ -82,8 +83,8 @@ type Source interface {
 // consumer may inspect a contiguous prefix of the remaining instructions
 // without copying them and consume any leading part of it in one step.
 // Batch consumers (the pipeline's front end) read whole fetch strides
-// straight out of the window instead of pulling one 48-byte record per
-// Next call.
+// straight out of the window instead of copying out one Inst per Next
+// call.
 //
 // Window returns a non-empty contiguous prefix of the remaining stream, or
 // an empty slice when the source is drained; it does not consume anything.

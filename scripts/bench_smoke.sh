@@ -16,7 +16,8 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 go test -bench . -benchtime=1x -benchmem -run '^$' . | tee "$out"
-# The trace decode path (Reader.Next and the arena's bulk load).
+# The trace decode path (Reader.Next and the arena's bulk load) and the
+# arena replay's window expansion.
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/trace
 
 t5=$(awk '/^BenchmarkTable5/ {print $3; exit}' "$out")
