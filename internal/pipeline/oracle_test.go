@@ -20,10 +20,11 @@ import (
 // (referenceRun below), kept test-only, and a property test that runs both
 // schedulers over randomized machines, workloads and d-cache policies and
 // requires bit-identical Stats. The event-driven core's claim is
-// observational equivalence — fast-forward, wakeup chains and batched
-// fetch may reorder *work inside the simulator*, never *events inside the
-// simulated machine* — and this is the test that pins the claim beyond
-// the fixed golden configurations.
+// observational equivalence — fast-forward, the issue wake-time wheel and
+// batched fetch may reorder *work inside the simulator*, never *events
+// inside the simulated machine* — and this is the test that pins the claim
+// beyond the fixed golden configurations. TestOracleFarWakes covers the
+// wheel's horizon, which no model latency reaches.
 
 // refEntry is the reference scheduler's array-of-structs ROB entry.
 type refEntry struct {
@@ -505,4 +506,74 @@ func replaySource(t *testing.T, bench string, insts []trace.Inst) trace.WindowSo
 		t.Fatal(err)
 	}
 	return trace.NewLimit(mem, int64(len(insts)))
+}
+
+// slowLoads wraps a real d-cache controller and adds extra cycles to every
+// every-th load, so dependents wake past the issue wheel's horizon.
+type slowLoads struct {
+	access.DController
+	every, extra, n int
+}
+
+func (s *slowLoads) Load(in *trace.Inst) (int, access.LoadClass) {
+	lat, class := s.DController.Load(in)
+	if s.n++; s.n%s.every == 0 {
+		lat += s.extra
+	}
+	return lat, class
+}
+
+// TestOracleFarWakes drives the event-driven core through wakes at, just
+// past and far past the issue wheel's wheelSize-cycle horizon, on ROBs up
+// to four bitmap words wide, and requires the cycle-stepping reference's
+// Stats exactly. No model latency reaches the horizon, so only a stretched
+// d-cache exercises the far re-file.
+func TestOracleFarWakes(t *testing.T) {
+	names := workload.Names()
+	rng := rand.New(rand.NewSource(0xfa7))
+	trial := 0
+	for _, extra := range []int{200, 255, 256, 257, 300, 1000, 5000} {
+		for rep := 0; rep < 2; rep++ {
+			trial++
+			rob := 2 + rng.Intn(127)
+			if rep == 0 {
+				rob = 129 + rng.Intn(72) // a 256-slot ring: four bitmap words
+			}
+			cfg := Config{
+				FetchWidth:  1 + rng.Intn(8),
+				IssueWidth:  1 + rng.Intn(8),
+				CommitWidth: 1 + rng.Intn(8),
+				ROBSize:     rob,
+				LSQSize:     1 + rng.Intn(40),
+				DCachePorts: 1 + rng.Intn(3),
+				MaxInsts:    int64(500 + rng.Intn(1000)),
+			}
+			// Sparser slow loads for longer delays keep the reference's
+			// cycle-stepping run short.
+			every := 1 + rng.Intn(4) + extra/200
+			bench := names[trial%len(names)]
+			prog, err := workload.ByName(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insts := make([]trace.Inst, cfg.MaxInsts+100)
+			w := prog.NewWalker()
+			for i := range insts {
+				w.Next(&insts[i])
+			}
+			policy := access.DPolicy(rng.Intn(int(access.DWayPredMRU) + 1))
+			rig := func() (access.DController, *access.ICache, *branch.FrontEnd) {
+				dc, ic, fe := oracleRig(policy, 8<<10, 8<<10)
+				return &slowLoads{DController: dc, every: every, extra: extra}, ic, fe
+			}
+			dc, ic, fe := rig()
+			want := referenceRun(cfg, &nextOnly{trace.NewMemSource(insts, trace.Header{})}, dc, ic, fe)
+			dc, ic, fe = rig()
+			got := New(cfg, trace.NewMemSource(insts, trace.Header{}), dc, ic, fe).Run()
+			if got != want {
+				t.Errorf("extra=%d every=%d policy=%s bench=%s:\n got %+v\nwant %+v\ncfg %+v",
+					extra, every, policy, bench, got, want, cfg)
+			}
+		}
+	}
 }

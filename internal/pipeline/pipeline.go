@@ -13,19 +13,20 @@
 // paper.
 //
 // The core is event-driven: Run steps commit/issue/fetch cycle by cycle
-// while work exists, but a dead cycle — commit blocked on an in-flight
+// while work exists, but a dead cycle — commit blocked on the head's
 // completion, no instruction ready to issue, fetch gated by the i-cache
 // port timer or a full ROB — fast-forwards the clock straight to the next
-// cycle anything can happen (the earliest pending completion, or the fetch
-// timer), instead of iterating through the stall. Fast-forward is
-// observationally equivalent to cycle stepping: every Stats counter,
-// including Cycles, is exactly what the cycle-by-cycle loop produces (the
-// differential oracle in oracle_test.go and the byte-identical golden
-// fixtures in CI enforce this). The ROB is laid out structure-of-arrays so
-// the commit/issue scans and the next-event search walk dense typed
-// slices, and fetch reads whole block strides in place from the source's
-// in-memory window (trace.WindowSource; trace.Buffered windows a plain
-// Source) without a per-instruction copy.
+// cycle anything can happen (the head's completion, the next wake filed in
+// the issue wheel, or the fetch timer), instead of iterating through the
+// stall. Fast-forward is observationally equivalent to cycle stepping:
+// every Stats counter, including Cycles, is exactly what the
+// cycle-by-cycle loop produces (the differential oracle in oracle_test.go
+// and the byte-identical golden fixtures in CI enforce this). The ROB is
+// laid out structure-of-arrays; issue files each entry under the cycle it
+// becomes ready and pops only entries that can issue; and fetch reads
+// whole block strides in place from the source's in-memory window
+// (trace.WindowSource; trace.Buffered windows a plain Source) without a
+// per-instruction copy.
 //
 // Simplifications, all orthogonal to the energy techniques under study and
 // applied identically to baselines and techniques: perfect memory
@@ -102,20 +103,40 @@ func (s Stats) IPC() float64 {
 // notDone is the doneAt sentinel for a dispatched-but-not-issued entry. It
 // keeps the per-entry state to one comparison: doneAt[i] <= cycle means
 // completed, == notDone means not yet issued, anything else is a scheduled
-// completion — and the next-event search needs no flag checks at all.
+// completion.
 const notDone = int64(math.MaxInt64)
+
+// wheelSize is the issue wake-time wheel's span in cycles, one bucket per
+// cycle; a power of two, so cycle t's bucket is t&wheelMask. A wake further
+// ahead is parked (see schedule), but no model latency comes near it: a
+// load that misses to memory takes about 100 cycles.
+const (
+	wheelSize = 256
+	wheelMask = wheelSize - 1
+)
 
 // ROB entry flag bits.
 const (
-	// flagMispred marks a control instruction that redirects fetch at
-	// resolution.
-	flagMispred uint8 = 1 << iota
-	// flagSrc1, flagSrc2, flagDst record which register operands exist,
-	// so the issue-time stat counts read one byte instead of the payload.
-	flagSrc1
+	// flagSrc1, flagSrc2, flagDst record which register operands exist.
+	// They are the low bits, so issue indexes its tally with them directly.
+	flagSrc1 uint8 = 1 << iota
 	flagSrc2
 	flagDst
+	// flagMispred marks a control instruction that redirects fetch at
+	// resolution.
+	flagMispred
 )
+
+// operandFlags masks the operand bits out of an entry's flags.
+const operandFlags = flagSrc1 | flagSrc2 | flagDst
+
+// kindLatency is isa.Kind.Latency as a table for the issue loop.
+var kindLatency = func() (t [isa.NumKinds]int64) {
+	for k := range t {
+		t[k] = int64(isa.Kind(k).Latency())
+	}
+	return t
+}()
 
 // Pipeline wires a trace source to the cache controllers and front end.
 type Pipeline struct {
@@ -132,60 +153,43 @@ type Pipeline struct {
 	// (>= ROBSize, so seq & robMask is injective over any window of
 	// ROBSize in-flight entries): index [seq & robMask] valid for
 	// head <= seq < tail. Capacity checks still use the configured
-	// ROBSize. The per-seq timing state lives in dense parallel slices —
-	// doneAt (with the notDone sentinel), flags, producer seqs — so the
-	// commit/issue scans and the next-event min search walk contiguous
-	// typed memory; the 48-byte instruction payloads sit apart in insts
-	// and are touched only when an entry actually issues or commits.
-	doneAt []int64    // completion cycle; notDone until issued
-	flags  []uint8    // flagMispred | flagSrc1 | flagSrc2 | flagDst
-	kinds  []isa.Kind // instruction kind, mirrored out of the payload
-	dsts   []isa.Reg  // destination register, mirrored out of the payload
-	prod1  []int64    // producer sequence numbers, -1 when none
-	prod2  []int64
-	insts  []trace.Inst // dispatched instruction payloads; the commit and
-	// issue scans touch it only for memory ops (the d-cache needs the
-	// address fields) — everything they need per ALU op lives in the
-	// single-byte arrays above, one cache line per 64 entries
-	// unissued is a bitmap over ring slots (bit idx set = dispatched, not
-	// yet issued); the issue cursor advances over its clear prefix a word
-	// at a time. scannable is the subset the issue scan actually visits:
-	// entries whose producers have all been scheduled (or retired). An
-	// entry with an unissued producer is in neither scan — it hangs off
-	// that producer's waiter list (waiters/nextWaiter, an intrusive
-	// per-slot chain) and is woken when the producer issues, either onto
-	// its other pending producer's list or into the scannable set with
-	// wakeAt = the latest producer completion time. The scan's whole
-	// ready check is then wakeAt[i] <= cycle: exactly the old per-producer
-	// probe, precomputed once per wake instead of re-derived every cycle.
-	unissued   []uint64
-	scannable  []uint64
-	wakeAt     []int64
+	// ROBSize. The per-entry timing state lives in dense parallel slices;
+	// the 48-byte instruction payloads sit apart in insts and are read
+	// only for memory ops, whose d-cache accesses need the address fields.
+	doneAt  []int64    // completion cycle; notDone until issued
+	flags   []uint8    // operand flags | flagMispred
+	kinds   []isa.Kind // instruction kind, mirrored out of the payload
+	prod1   []int64    // sources' producer seqs at dispatch, -1 when none
+	prod2   []int64
+	insts   []trace.Inst
+	robMask int64
+	head    int64
+	tail    int64
+	lsq     int // mem ops currently in the ROB
+
+	// Issue scheduling. An entry with an unissued producer waits on that
+	// producer's waiter list (waiters/nextWaiter, an intrusive chain of
+	// seqs). Once every producer is scheduled, schedule files it under its
+	// ready cycle: in ready, the ring-slot bitmap issue pops, or in wheel,
+	// wheelSize ring-slot bitmaps as long as ready (bucket t&wheelMask
+	// holds cycle t), which drain empties into ready as the clock reaches
+	// them. occupied marks the non-empty buckets.
 	waiters    []int64
 	nextWaiter []int64
-	// inflight over-approximates the slots holding a scheduled future
-	// completion: set at issue, cleared lazily by the next-event rescan
-	// once the completion is in the past. The rescan pops its set bits
-	// instead of probing every doneAt slot in the window.
-	inflight []uint64
-	robMask  int64
-	head     int64
-	tail     int64
-	// issueCursor trails the first non-issued entry: every entry below it
-	// has issued, so the per-cycle issue scan never revisits the completed
-	// prefix of a long-stalled ROB. It only ever advances (entries never
-	// un-issue; head only grows).
-	issueCursor int64
-	lsq         int // mem ops currently in the ROB
+	ready      []uint64
+	wheel      []uint64
+	far        []uint64
+	wakeAt     []int64 // ready cycle of a far entry
+	occupied   [wheelSize / 64]uint64
+	drained    int64 // every bucket through this cycle is in ready
 
-	// nextDoneAt is the stall fast-forward's next-event tracker: a value t
-	// such that no in-flight completion lies in (cycle, t), maintained at
-	// issue time by folding in every scheduled doneAt. Once the clock
-	// reaches it the tracker is stale, and the next stall recomputes it
-	// exactly with one min-scan of the doneAt window.
-	nextDoneAt int64
+	// tally counts issued instructions by kind and operand flags; Run
+	// folds it into the issue counters of Stats.
+	tally [isa.NumKinds][operandFlags + 1]int64
 
-	regProducer [isa.NumRegs]int64 // seq of last in-flight writer, -1 if none
+	// regProducer is each register's newest dispatched writer, -1 before
+	// the first. commit leaves it alone: a producer below head has retired.
+	regProducer [isa.NumRegs]int64
 
 	// Fetch state.
 	win         []trace.Inst // unconsumed prefix of the current window
@@ -208,21 +212,21 @@ func New(cfg Config, src trace.WindowSource, dc access.DController, ic *access.I
 		panic(fmt.Sprintf("pipeline: non-positive config %+v", cfg))
 	}
 	ringSize := 1 << bits.Len(uint(cfg.ROBSize-1)) // next power of two >= ROBSize
+	words := (ringSize + 63) / 64
 	p := &Pipeline{
 		cfg: cfg, src: src, dc: dc, ic: ic, fe: fe,
 		doneAt:      make([]int64, ringSize),
-		unissued:    make([]uint64, (ringSize+63)/64),
-		scannable:   make([]uint64, (ringSize+63)/64),
-		inflight:    make([]uint64, (ringSize+63)/64),
-		wakeAt:      make([]int64, ringSize),
-		waiters:     make([]int64, ringSize),
-		nextWaiter:  make([]int64, ringSize),
 		flags:       make([]uint8, ringSize),
 		kinds:       make([]isa.Kind, ringSize),
-		dsts:        make([]isa.Reg, ringSize),
 		prod1:       make([]int64, ringSize),
 		prod2:       make([]int64, ringSize),
 		insts:       make([]trace.Inst, ringSize),
+		waiters:     make([]int64, ringSize),
+		nextWaiter:  make([]int64, ringSize),
+		ready:       make([]uint64, words),
+		wheel:       make([]uint64, wheelSize*words),
+		far:         make([]uint64, words),
+		wakeAt:      make([]int64, ringSize),
 		robMask:     int64(ringSize - 1),
 		waitBranch:  -1,
 		icBlockMask: ^uint64(ic.L1.BlockBytes() - 1),
@@ -232,9 +236,6 @@ func New(cfg Config, src trace.WindowSource, dc access.DController, ic *access.I
 	}
 	return p
 }
-
-// Stats returns a copy of the counters.
-func (p *Pipeline) Stats() Stats { return p.stats }
 
 // Run simulates until MaxInsts instructions commit or the source drains,
 // and returns the final statistics.
@@ -253,38 +254,65 @@ func (p *Pipeline) Run() Stats {
 		if iters++; iters > limit {
 			panic("pipeline: iteration limit exceeded — livelock")
 		}
-		c0, i0, f0 := p.stats.Committed, p.stats.Issued, p.stats.FetchGroups
+		c0, f0 := p.stats.Committed, p.stats.FetchGroups
 		p.commit()
-		p.issue()
+		issued := p.issue()
 		p.fetch()
-		if p.stats.Committed != c0 || p.stats.Issued != i0 || p.stats.FetchGroups != f0 {
+		if issued > 0 || p.stats.Committed != c0 || p.stats.FetchGroups != f0 {
 			p.cycle++
 		} else {
-			// Dead cycle: fast-forward. The target is exactly the first
+			// Dead cycle: fast-forward. The target is never past the first
 			// cycle the stepping loop could have done anything, so the
 			// clock (and every derived counter) stays bit-identical.
 			p.cycle = p.stallTarget()
-			p.stats.Cycles = p.cycle
 		}
 		if p.exhausted && p.head == p.tail {
 			break
 		}
 	}
-	p.stats.Cycles = p.cycle
-	return p.stats
+	st := p.stats
+	st.Cycles = p.cycle
+	// Derive the issue counters from the [kind][operand flags] tally.
+	for k, row := range p.tally {
+		var n int64
+		for ops, c := range row {
+			n += c
+			st.RegReads += c * int64(bits.OnesCount8(uint8(ops)&(flagSrc1|flagSrc2)))
+			if uint8(ops)&flagDst != 0 {
+				st.RegWrites += c
+			}
+		}
+		st.Issued += n
+		switch isa.Kind(k) {
+		case isa.KindLoad:
+			st.Loads += n
+		case isa.KindStore:
+			st.Stores += n
+		case isa.KindIntALU, isa.KindIntMul:
+			st.IntOps += n
+		case isa.KindFPALU, isa.KindFPMul, isa.KindFPDiv:
+			st.FPOps += n
+		}
+	}
+	return st
 }
 
 // stallTarget returns the next cycle at which any stage can make progress,
-// given that the current cycle did none. Commit is blocked until the head's
-// completion and issue until some producer's completion — both bounded
-// below by the next pending completion. Fetch can additionally wake on its
-// port timer, but only when the timer is its sole gate: a branch stall
-// clears at issue time and a full ROB/LSQ at commit time, which the
-// completion bound already covers.
+// given that the current cycle did none. Commit waits for the head's
+// completion (an unissued head reads notDone) and issue for the next wake
+// filed in the wheel; every other completion matters only through one of
+// those two. Fetch can additionally wake on its port timer, but only when
+// the timer is its sole gate: a branch stall clears at issue time and a
+// full ROB/LSQ at commit time, which the first two bounds already cover.
 //
 //wclint:hotpath
 func (p *Pipeline) stallTarget() int64 {
-	next := p.nextEvent()
+	next := p.nextWake()
+	if p.head < p.tail {
+		if d := p.doneAt[p.head&p.robMask]; d < next {
+			next = d
+		}
+	}
 	if !p.exhausted && p.waitBranch < 0 && p.fetchableAt > p.cycle &&
 		p.fetchableAt < next && !p.robFull() && p.lsq < p.cfg.LSQSize {
 		next = p.fetchableAt
@@ -297,44 +325,38 @@ func (p *Pipeline) stallTarget() int64 {
 	return next
 }
 
-// nextEvent returns the earliest in-flight completion strictly after the
-// current cycle, or notDone when there is none. It serves the tracker's
-// value when still ahead of the clock and otherwise recomputes it by
-// popping the inflight bitmap — only slots that ever had a scheduled
-// completion are probed, and slots whose completion has passed drop out of
-// the bitmap here, so repeated stalls don't re-probe them. (A popped slot
-// recycled by a not-yet-issued entry reads notDone: harmless to the min,
-// and re-marked at issue anyway.)
+// nextWake returns the earliest cycle after drained whose wheel bucket is
+// non-empty, or notDone when the wheel is empty: a search of the occupancy
+// bitmap from the bucket for drained+1, wrapping once.
 //
 //wclint:hotpath
-func (p *Pipeline) nextEvent() int64 {
-	if p.nextDoneAt > p.cycle {
-		return p.nextDoneAt
-	}
-	min := notDone
-	for wi, w := range p.inflight {
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			if d := p.doneAt[wi<<6+j]; d > p.cycle {
-				if d < min {
-					min = d
-				}
-			} else {
-				p.inflight[wi] &^= 1 << uint(j)
-			}
+func (p *Pipeline) nextWake() int64 {
+	const n = int64(len(p.occupied))
+	start := (p.drained + 1) & wheelMask
+	sw, sb := start>>6, uint(start&63)
+	for k := int64(0); k <= n; k++ {
+		wi := (sw + k) & (n - 1)
+		w := p.occupied[wi]
+		switch k {
+		case 0:
+			w &= ^uint64(0) << sb
+		case n:
+			w &= 1<<sb - 1
+		}
+		if w != 0 {
+			b := wi<<6 + int64(bits.TrailingZeros64(w))
+			return p.drained + 1 + (b-start)&wheelMask
 		}
 	}
-	p.nextDoneAt = min
-	return min
+	return notDone
 }
 
 //wclint:hotpath
 func (p *Pipeline) commit() {
 	// Locals keep the ring state in registers across the store interface
-	// call (see issue for the same pattern). Only stores touch the payload;
-	// kind and destination come from the byte arrays.
-	doneAt, kinds, dsts, mask := p.doneAt, p.kinds, p.dsts, p.robMask
+	// call. Only stores touch the payload; the kind comes from the byte
+	// array.
+	doneAt, kinds, mask := p.doneAt, p.kinds, p.robMask
 	cycle, tail := p.cycle, p.tail
 	for n := 0; n < p.cfg.CommitWidth && p.head < tail &&
 		p.stats.Committed < p.cfg.MaxInsts; n++ {
@@ -342,193 +364,195 @@ func (p *Pipeline) commit() {
 		if doneAt[idx] > cycle { // covers not-issued: notDone
 			return
 		}
-		kind := kinds[idx]
-		if kind == isa.KindStore {
+		switch kinds[idx] {
+		case isa.KindStore:
 			// Stores probe the tag array and write the matching way at
 			// commit; the write buffer hides the latency.
 			p.dc.Store(&p.insts[idx])
 			p.lsq--
-		}
-		if kind == isa.KindLoad {
+		case isa.KindLoad:
 			p.lsq--
-		}
-		// Free the architectural register mapping if this is still the
-		// newest producer.
-		if d := dsts[idx]; !d.IsZero() && p.regProducer[d] == p.head {
-			p.regProducer[d] = -1
 		}
 		p.head++
 		p.stats.Committed++
 	}
 }
 
-// wake reprocesses the waiter chain of a producer that just issued. Each
-// waiter either re-chains onto its other still-unissued producer or enters
-// the scannable set with wakeAt set to its latest producer completion — a
-// time now fully known, since every remaining producer is scheduled. A
-// producer below head has retired (its value committed in the past) and
-// contributes nothing.
+// place files entry seq, whose sources are produced by pr1 and pr2, for
+// issue. While a producer has not issued, the entry waits on that
+// producer's waiter list; once every producer is scheduled, its ready
+// cycle is the latest producer completion, and schedule files it under
+// that cycle. A producer below head has retired (its value committed in
+// the past) and contributes nothing.
+//
+//wclint:hotpath
+func (p *Pipeline) place(seq, pr1, pr2 int64) {
+	doneAt, mask, head := p.doneAt, p.robMask, p.head
+	at := int64(0)
+	if pr1 >= head {
+		if at = doneAt[pr1&mask]; at == notDone {
+			p.nextWaiter[seq&mask] = p.waiters[pr1&mask]
+			p.waiters[pr1&mask] = seq
+			return
+		}
+	}
+	if pr2 >= head {
+		d := doneAt[pr2&mask]
+		if d == notDone {
+			p.nextWaiter[seq&mask] = p.waiters[pr2&mask]
+			p.waiters[pr2&mask] = seq
+			return
+		}
+		at = max(at, d)
+	}
+	p.schedule(seq&mask, at)
+}
+
+// wake places again each entry on the waiter chain of a producer that
+// just issued.
 //
 //wclint:hotpath
 func (p *Pipeline) wake(wseq int64) {
-	doneAt, mask, head := p.doneAt, p.robMask, p.head
 	for wseq >= 0 {
-		wi := wseq & mask
+		wi := wseq & p.robMask
 		next := p.nextWaiter[wi]
-		if pr := p.prod1[wi]; pr >= head && doneAt[pr&mask] == notDone {
-			p.nextWaiter[wi] = p.waiters[pr&mask]
-			p.waiters[pr&mask] = wseq
-		} else if pr := p.prod2[wi]; pr >= head && doneAt[pr&mask] == notDone {
-			p.nextWaiter[wi] = p.waiters[pr&mask]
-			p.waiters[pr&mask] = wseq
-		} else {
-			wa := int64(0)
-			if pr := p.prod1[wi]; pr >= head {
-				wa = doneAt[pr&mask]
-			}
-			if pr := p.prod2[wi]; pr >= head {
-				if d := doneAt[pr&mask]; d > wa {
-					wa = d
-				}
-			}
-			p.wakeAt[wi] = wa
-			p.scannable[wi>>6] |= 1 << uint(wi&63)
-		}
+		p.place(wseq, p.prod1[wi], p.prod2[wi])
 		wseq = next
 	}
 }
 
+// schedule files the entry in ring slot idx to issue from cycle at: in
+// ready when that cycle has been drained, else in its wheel bucket. A wake
+// wheelSize or more cycles ahead is parked in the last bucket (cycle
+// drained+wheelSize-1) with its far bit set, and drain files it again from
+// wakeAt.
+//
 //wclint:hotpath
-func (p *Pipeline) issue() {
-	issued := 0
-	ports := p.cfg.DCachePorts
-	width := p.cfg.IssueWidth
+func (p *Pipeline) schedule(idx, at int64) {
+	w, bit := idx>>6, uint64(1)<<uint(idx&63)
+	ahead := at - p.drained
+	if ahead <= 0 {
+		p.ready[w] |= bit
+		return
+	}
+	if ahead >= wheelSize {
+		p.wakeAt[idx] = at
+		p.far[w] |= bit
+		at = p.drained + wheelSize - 1
+	}
+	b := at & wheelMask
+	p.wheel[b*int64(len(p.ready))+w] |= bit
+	p.occupied[b>>6] |= 1 << uint(b&63)
+}
+
+// drain moves every wheel bucket the clock has reached into ready, oldest
+// cycle first. The clock usually advances one cycle at a time, which costs
+// one occupancy bit test; after a fast-forward, nextWake skips the empty
+// buckets in between. A far entry is filed again instead, relative to the
+// bucket's own cycle, so it can never land back in the bucket draining.
+//
+//wclint:hotpath
+func (p *Pipeline) drain() {
+	for p.drained < p.cycle {
+		t := p.drained + 1
+		if t < p.cycle {
+			if t = p.nextWake(); t > p.cycle {
+				break
+			}
+		}
+		p.drained = t
+		b := t & wheelMask
+		if p.occupied[b>>6]&(1<<uint(b&63)) == 0 {
+			continue
+		}
+		p.occupied[b>>6] &^= 1 << uint(b&63)
+		n := int64(len(p.ready))
+		bucket := p.wheel[b*n : (b+1)*n]
+		for w, m := range bucket {
+			if m == 0 {
+				continue
+			}
+			bucket[w] = 0
+			if f := m & p.far[w]; f != 0 {
+				m &^= f
+				p.far[w] &^= f
+				for f != 0 {
+					idx := int64(w<<6 + bits.TrailingZeros64(f))
+					f &= f - 1
+					p.schedule(idx, p.wakeAt[idx])
+				}
+			}
+			p.ready[w] |= m
+		}
+	}
+	p.drained = p.cycle
+}
+
+// issue drains the wheel up to the current cycle, then pops ready entries
+// oldest-first — from head's ring slot around the ring — until the issue
+// width is used, passing over loads once the d-cache ports are taken. It
+// visits only entries that can issue, and returns how many did.
+//
+//wclint:hotpath
+func (p *Pipeline) issue() int {
+	p.drain()
 	// Hoist the hot ring state into locals: slice headers and loop bounds
 	// stay in registers across the d-cache interface calls below, which
 	// would otherwise force a reload of every field on each iteration.
-	doneAt, unissued, scannable, mask := p.doneAt, p.unissued, p.scannable, p.robMask
-	head, tail, cycle := p.head, p.tail, p.cycle
-	ringSize := mask + 1
-
-	// Advance the cursor to the first unissued seq, word-wise over the
-	// unissued bitmap. The cursor only moves forward, so the whole-run cost
-	// is one pass over the issued prefix — amortized O(1) per instruction —
-	// and the scan below never revisits the completed prefix of a
-	// long-stalled ROB. (The cursor tracks unissued, not scannable: a
-	// chain-stalled entry below the first scannable bit must stay inside
-	// the scanned range for the cycle its producer wakes it.)
-	cursor := p.issueCursor
-	if cursor < head {
-		cursor = head
-	}
-	for cursor < tail {
-		idx := cursor & mask
-		w := unissued[idx>>6] >> uint(idx&63)
-		span := 64 - idx&63
-		if r := ringSize - idx; r < span {
-			span = r // ring wraps mid-word (ring smaller than one word)
+	ready, doneAt, mask, cycle := p.ready, p.doneAt, p.robMask, p.cycle
+	h := p.head & mask
+	hw, hb := int(h>>6), uint(h&63)
+	n := len(ready)
+	ports, width, issued := p.cfg.DCachePorts, p.cfg.IssueWidth, 0
+	// n+1 word visits: head's word is split into its bits at and above
+	// head (first, the oldest) and below head (last, the newest).
+	for k := 0; k <= n && issued < width; k++ {
+		wi := hw + k
+		if wi >= n {
+			wi -= n
 		}
-		if r := tail - cursor; r < span {
-			span = r
-		}
-		if span < 64 {
-			w &= 1<<uint(span) - 1
-		}
-		if w != 0 {
-			cursor += int64(bits.TrailingZeros64(w))
-			break
-		}
-		cursor += span
-	}
-	p.issueCursor = cursor
-
-	// The in-order window scan, over set bits of the scannable bitmap only:
-	// issued-but-uncommitted holes and chain-stalled entries — the bulk of
-	// a wide window — cost nothing at all. The outer loop takes the window
-	// a word-chunk at a time (clipped to the word, the ring edge, and
-	// tail); the inner loop pops candidate entries in seq order. A bit set
-	// by a mid-scan wake lands in a later chunk or next call; either way
-	// its wakeAt is past the current cycle, so nothing issuable is missed.
-	for seq := cursor; seq < tail && issued < width; {
-		idx := seq & mask
-		w := scannable[idx>>6] >> uint(idx&63)
-		span := 64 - idx&63
-		if r := ringSize - idx; r < span {
-			span = r
-		}
-		if r := tail - seq; r < span {
-			span = r
-		}
-		if span < 64 {
-			w &= 1<<uint(span) - 1
+		w := ready[wi]
+		switch k {
+		case 0:
+			w &= ^uint64(0) << hb
+		case n:
+			w &= 1<<hb - 1
 		}
 		for w != 0 && issued < width {
-			j := int64(bits.TrailingZeros64(w))
+			idx := int64(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
-			s := seq + j
-			i2 := idx + j
-			// One precomputed comparison stands in for the old per-producer
-			// probes: wakeAt is the latest producer completion, fixed when
-			// the last producer was scheduled.
-			if p.wakeAt[i2] > cycle {
-				continue
-			}
-			kind := p.kinds[i2]
-			if kind == isa.KindLoad && ports == 0 {
-				continue
-			}
-
-			lat := kind.Latency()
-			switch kind {
-			case isa.KindLoad:
+			kind := p.kinds[idx]
+			lat := kindLatency[kind]
+			if kind == isa.KindLoad {
+				if ports == 0 {
+					continue
+				}
 				ports--
-				p.stats.Loads++
-				cacheLat, _ := p.dc.Load(&p.insts[i2])
-				lat += cacheLat - 1 // the cache latency includes the access cycle
-			case isa.KindStore:
-				p.stats.Stores++
-				// Address generation only; the write happens at commit.
-			case isa.KindIntALU, isa.KindIntMul:
-				p.stats.IntOps++
-			case isa.KindFPALU, isa.KindFPMul, isa.KindFPDiv:
-				p.stats.FPOps++
+				cacheLat, _ := p.dc.Load(&p.insts[idx])
+				lat += int64(cacheLat) - 1 // the cache latency includes the access cycle
 			}
-			done := cycle + int64(lat)
-			doneAt[i2] = done
-			unissued[i2>>6] &^= 1 << uint(i2&63)
-			scannable[i2>>6] &^= 1 << uint(i2&63)
-			p.inflight[i2>>6] |= 1 << uint(i2&63)
-			if done < p.nextDoneAt {
-				p.nextDoneAt = done
-			}
-			// This entry's completion is now scheduled: release anything
-			// chained on it.
-			if wseq := p.waiters[i2]; wseq >= 0 {
-				p.waiters[i2] = -1
+			done := cycle + lat
+			doneAt[idx] = done
+			ready[wi] &^= 1 << uint(idx&63)
+			f := p.flags[idx]
+			p.tally[kind][f&operandFlags]++
+			// This entry's completion is now scheduled: place anything
+			// chained on it. Its wakes lie past this cycle, in the wheel.
+			if wseq := p.waiters[idx]; wseq >= 0 {
+				p.waiters[idx] = -1
 				p.wake(wseq)
 			}
 			issued++
-			p.stats.Issued++
-			f := p.flags[i2]
-			if f&flagSrc1 != 0 {
-				p.stats.RegReads++
-			}
-			if f&flagSrc2 != 0 {
-				p.stats.RegReads++
-			}
-			if f&flagDst != 0 {
-				p.stats.RegWrites++
-			}
 
 			// A mispredicted control instruction restarts fetch one cycle
 			// after it resolves.
-			if f&flagMispred != 0 && p.waitBranch == s {
+			if f&flagMispred != 0 && p.waitBranch >= 0 && p.waitBranch&mask == idx {
 				p.fetchableAt = done + 1
 				p.waitBranch = -1
 			}
 		}
-		seq += span
 	}
+	return issued
 }
 
 // peekInst returns the lookahead instruction without consuming it, in
@@ -583,64 +607,35 @@ func (p *Pipeline) dispatch(in *trace.Inst, mispred bool) {
 	idx := p.tail & p.robMask
 	p.insts[idx] = *in
 	p.doneAt[idx] = notDone
-	p.unissued[idx>>6] |= 1 << uint(idx&63)
-	p.kinds[idx] = in.Kind
-	p.dsts[idx] = in.Dst
+	kind := in.Kind
+	if int(kind) >= isa.NumKinds {
+		kind = isa.KindNop // an out-of-isa kind times and counts as a nop
+	}
+	p.kinds[idx] = kind
 	var f uint8
 	if mispred {
 		f = flagMispred
 	}
-	// Record only producers that are still incomplete: completion is
-	// monotone (doneAt never un-passes the clock), so a producer that has
-	// already finished is dropped here once instead of being re-checked by
-	// every issue scan until this entry issues.
+	// A source's last writer may since have completed or retired; place
+	// reads that off its completion time and seq.
 	pr1, pr2 := int64(-1), int64(-1)
 	if !in.Src1.IsZero() {
 		f |= flagSrc1
-		if pr := p.regProducer[in.Src1]; pr >= 0 && p.doneAt[pr&p.robMask] > p.cycle {
-			pr1 = pr
-		}
+		pr1 = p.regProducer[in.Src1]
 	}
 	if !in.Src2.IsZero() {
 		f |= flagSrc2
-		if pr := p.regProducer[in.Src2]; pr >= 0 && p.doneAt[pr&p.robMask] > p.cycle {
-			pr2 = pr
-		}
+		pr2 = p.regProducer[in.Src2]
 	}
 	if !in.Dst.IsZero() {
 		f |= flagDst
+		p.regProducer[in.Dst] = p.tail
 	}
 	p.flags[idx] = f
 	p.prod1[idx], p.prod2[idx] = pr1, pr2
 	p.waiters[idx] = -1
-	// Classify the entry for the issue scan. An unissued producer means the
-	// entry's ready time is unknowable: chain it on that producer's waiter
-	// list (wake re-examines it when the producer issues). Otherwise every
-	// remaining producer has a scheduled completion, so the ready time is
-	// simply their max — precompute it and make the entry scannable.
-	if pr1 >= 0 && p.doneAt[pr1&p.robMask] == notDone {
-		p.nextWaiter[idx] = p.waiters[pr1&p.robMask]
-		p.waiters[pr1&p.robMask] = p.tail
-	} else if pr2 >= 0 && p.doneAt[pr2&p.robMask] == notDone {
-		p.nextWaiter[idx] = p.waiters[pr2&p.robMask]
-		p.waiters[pr2&p.robMask] = p.tail
-	} else {
-		wa := int64(0)
-		if pr1 >= 0 {
-			wa = p.doneAt[pr1&p.robMask]
-		}
-		if pr2 >= 0 {
-			if d := p.doneAt[pr2&p.robMask]; d > wa {
-				wa = d
-			}
-		}
-		p.wakeAt[idx] = wa
-		p.scannable[idx>>6] |= 1 << uint(idx&63)
-	}
-	if !in.Dst.IsZero() {
-		p.regProducer[in.Dst] = p.tail
-	}
-	if in.Kind.IsMem() {
+	p.place(p.tail, pr1, pr2)
+	if kind.IsMem() {
 		p.lsq++
 	}
 	if mispred {

@@ -258,3 +258,19 @@ func TestNonPowerOfTwoROBSize(t *testing.T) {
 		t.Fatalf("non-power-of-two ROB nondeterministic: %+v vs %+v", again, s48)
 	}
 }
+
+func TestOutOfISAKindTimesAsNop(t *testing.T) {
+	// A custom source may carry a kind the isa does not define; the
+	// pipeline times and counts it as a nop rather than indexing past its
+	// per-kind tables.
+	run := func(kind isa.Kind) Stats {
+		insts := seqALUs(400)
+		for i := range insts {
+			insts[i].Kind = kind
+		}
+		return testRig(access.DParallel, access.IParallel, trace.NewMemSource(insts, trace.Header{}), 400).Run()
+	}
+	if got, want := run(isa.Kind(200)), run(isa.KindNop); got != want {
+		t.Fatalf("kind 200:\n got %+v\nwant %+v", got, want)
+	}
+}

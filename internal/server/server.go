@@ -624,12 +624,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.stopWG.Add(1)
+	// Take the reply before runJob starts: the 202 announces the job as
+	// queued, and a fast runner could otherwise already report it running.
+	st := j.status()
 	s.mu.Unlock()
 	go func() {
 		defer s.stopWG.Done()
 		s.runJob(j)
 	}()
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Bench smoke: one iteration of every top-level benchmark and of the
-# trace decode benchmarks with -benchmem, proving the harness runs end to
-# end and the custom metrics (ed_*, accuracies, ns/inst) keep computing —
-# plus a perf regression tripwire on the headline pipeline benchmark.
+# Bench smoke: one iteration of every top-level benchmark, of the trace
+# decode benchmarks and of the core benchmarks with -benchmem, proving the
+# harness runs end to end and the custom metrics (ed_*, accuracies,
+# ns/inst) keep computing — plus a perf regression tripwire on the
+# headline pipeline benchmark.
 #
 # BenchmarkTable5's single-iteration time is compared against the baseline
 # committed in BENCH_PR8.json. The comparison only *fails* the build when
@@ -19,6 +20,8 @@ go test -bench . -benchtime=1x -benchmem -run '^$' . | tee "$out"
 # The trace decode path (Reader.Next and the arena's bulk load) and the
 # arena replay's window expansion.
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/trace
+# core.Run replaying each suite stream under every d-cache policy (ns/inst).
+go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/core
 
 t5=$(awk '/^BenchmarkTable5/ {print $3; exit}' "$out")
 if [ -z "$t5" ]; then
