@@ -5,12 +5,14 @@ package trace
 // A design-space sweep replays the same few <benchmark>.wct captures for
 // every grid cell, and before the arena each cell paid the full streaming
 // decode (varint parsing, per-record validation) again. The arena decodes
-// each file once into a shared slice of 24-byte packed records (packed.go)
-// and hands every simulation an index-replay MemSource over that slice, so
-// an N-config grid decodes each capture once instead of N/gridsize times.
-// Replay does no varint work: each MemSource expands a fixed run of
-// records at a time into its own fetch-window buffer, a few field copies
-// per instruction.
+// each file once into a shared static-instruction table (packed.go): the
+// capture's distinct instructions, a 4-byte static index per dynamic
+// instruction and the memory addresses in stream order. Every simulation
+// gets an index-replay MemSource over that table, so an N-config grid
+// decodes each capture once instead of N/gridsize times. Replay does no
+// varint work: each MemSource expands a fixed run of instructions at a
+// time into its own fetch-window buffer, a table lookup and a few field
+// copies per instruction.
 //
 // Replay semantics are contractually identical to streaming the file with
 // Reader: the same instructions in the same order, and the same errors
@@ -30,12 +32,14 @@ import (
 	"time"
 )
 
-// DefaultArenaCap bounds the shared arena's resident instructions
-// (24-byte packed records, so the default keeps up to 384 MiB of decoded
-// traces). Long-lived processes (waycached) sweep many grids over the
-// same handful of captures; least-recently-used files are evicted past
-// the cap.
-const DefaultArenaCap = 16 << 20
+// DefaultArenaCap bounds the shared arena's resident bytes, as
+// ResidentBytes counts them. A resident instruction costs from 4 bytes (a
+// revisited static) to 36 (a memory instruction at a PC never seen
+// before) or 56 (an escaped one), so the cap counts memory, not
+// instructions.
+// Long-lived processes (waycached) sweep many grids over the same handful
+// of captures; least-recently-used files are evicted past the cap.
+const DefaultArenaCap = 384 << 20
 
 // Arena caches decoded trace files. Path-keyed entries (Load) are
 // invalidated when the file's size or modification time changes, so a
@@ -48,8 +52,8 @@ const DefaultArenaCap = 16 << 20
 type Arena struct {
 	mu       sync.Mutex
 	entries  map[string]*arenaEntry
-	capAt    int64 // maximum resident instructions; <= 0 means unbounded
-	resident int64
+	capAt    int64 // maximum resident bytes; <= 0 means unbounded
+	resident int64 // bytes of the decoded, mapped entries
 	tick     int64 // LRU clock
 }
 
@@ -59,22 +63,16 @@ type arenaEntry struct {
 	mtime time.Time
 
 	h         Header
-	recs      []record
-	esc       []Inst // the instructions escaped records index
-	openErr   error  // open/header failure: the whole load failed
-	decodeErr error  // record-stream failure after len(recs) good records
+	t         table
+	openErr   error // open/header failure: the whole load failed
+	decodeErr error // record-stream failure after len(t.ops) good records
 	lastUse   int64
 }
 
-// bytes is the memory the entry's decoded trace occupies.
-func (e *arenaEntry) bytes() int64 {
-	return int64(len(e.recs))*recordBytes + int64(len(e.esc))*instBytes
-}
-
-// NewArena returns an arena bounded to capInsts resident instructions
-// (<= 0 means unbounded).
-func NewArena(capInsts int64) *Arena {
-	return &Arena{entries: make(map[string]*arenaEntry), capAt: capInsts}
+// NewArena returns an arena bounded to capBytes resident bytes (<= 0
+// means unbounded).
+func NewArena(capBytes int64) *Arena {
+	return &Arena{entries: make(map[string]*arenaEntry), capAt: capBytes}
 }
 
 var shared = NewArena(DefaultArenaCap)
@@ -99,7 +97,7 @@ func (a *Arena) Load(path string) (*MemSource, error) {
 	e := a.entries[path]
 	if e == nil || e.size != fi.Size() || !e.mtime.Equal(fi.ModTime()) {
 		if e != nil && e.lastUse != 0 {
-			a.resident -= int64(len(e.recs)) // re-captured file: drop the stale decode
+			a.resident -= e.t.bytes() // re-captured file: drop the stale decode
 		}
 		e = &arenaEntry{size: fi.Size(), mtime: fi.ModTime()}
 		a.entries[path] = e
@@ -160,23 +158,22 @@ func (a *Arena) finish(key string, e *arenaEntry) (*MemSource, error) {
 	// forever.
 	if a.entries[key] == e {
 		if e.lastUse == 0 { // first successful use: account its footprint
-			a.resident += int64(len(e.recs))
+			a.resident += e.t.bytes()
 		}
 		e.lastUse = a.tick
 		a.evictLocked()
 	}
 	a.mu.Unlock()
 
-	return newMemSource(e.recs, e.esc, e.h, e.decodeErr), nil
+	return newMemSource(&e.t, e.h, e.decodeErr), nil
 }
 
 // decode reads the whole file, verifies it against wantHash when one is
-// given, and decodes its records in place into one preallocated slice of
-// packed records. A hash mismatch turns the whole load into an open
-// error: nothing is cached or served under a hash the bytes do not
-// carry. The records go through the same decoder as Reader, so the good
-// prefix and the deferred error of a corrupt file are exactly what
-// streaming it would give.
+// given, and decodes its records into a static-instruction table. A hash
+// mismatch turns the whole load into an open error: nothing is cached or
+// served under a hash the bytes do not carry. The records go through the
+// same decoder as Reader, so the good prefix and the deferred error of a
+// corrupt file are exactly what streaming it would give.
 func (e *arenaEntry) decode(path, wantHash string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -202,23 +199,19 @@ func (e *arenaEntry) decode(path, wantHash string) {
 	e.h = h
 	body := data[len(data)-br.Len():]
 
-	// Preallocate from the declared count, but never trust it past what
-	// the file could physically hold (records are at least one byte): a
-	// corrupt header must not drive a huge allocation.
-	recs := make([]record, min(h.Insts, int64(len(body))))
+	// Size the table from the declared count, but never trust it past
+	// what the file could physically hold (records are at least one
+	// byte): a corrupt header must not drive a huge allocation.
+	b := newTableBuilder(int(min(h.Insts, int64(len(body)))))
 	d := decoder{declared: h.Insts}
-	for !d.done() {
-		if d.read == int64(len(recs)) { // undeclared count: grow
-			recs = append(recs, record{})
-			recs = recs[:cap(recs)]
-		}
-		n, ok := d.next(body, io.EOF, &recs[d.read])
-		if !ok {
-			break
-		}
+	var recs [expandRun]record // decoded a run at a time, then interned
+	for k := len(recs); k == len(recs); {
+		var n int
+		k, n = d.next(body, io.EOF, recs[:])
 		body = body[n:]
+		b.add(recs[:k], d.esc)
 	}
-	e.recs, e.esc, e.decodeErr = recs[:d.read], d.esc, d.err
+	e.t, e.decodeErr = b.finish(), d.err
 }
 
 // evictLocked drops least-recently-used entries until the arena is within
@@ -242,7 +235,7 @@ func (a *Arena) evictLocked() {
 		if old == nil || old.lastUse == a.tick {
 			return // nothing evictable but the entry just used
 		}
-		a.resident -= int64(len(old.recs))
+		a.resident -= old.t.bytes()
 		delete(a.entries, oldPath)
 	}
 }
@@ -258,58 +251,67 @@ func (a *Arena) Len() int {
 func (a *Arena) Resident() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.resident
-}
-
-// ResidentBytes returns the memory the resident decoded traces occupy:
-// their packed records plus the instructions they escape.
-func (a *Arena) ResidentBytes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var n int64
 	for _, e := range a.entries {
 		if e.lastUse != 0 { // accounted in resident: decoded and mapped
-			n += e.bytes()
+			n += int64(len(e.t.ops))
 		}
 	}
 	return n
 }
 
+// ResidentBytes returns the memory the resident decoded traces occupy:
+// their static-instruction tables, escaped instructions included. The
+// arena's cap bounds it.
+func (a *Arena) ResidentBytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.resident
+}
+
 // MemSource replays a decoded trace by index: the Source the arena hands
-// each simulation. The packed records are shared; each MemSource expands
-// up to expandRun of them at a time into its own buffer, which Window
-// exposes and Next copies from — no I/O, no varint decoding and no
+// each simulation. The static-instruction table is shared; each MemSource
+// keeps its own cursors into it — the next instruction, and the next
+// address and escape past its expanded window — and expands up to
+// expandRun instructions at a time into its own buffer, which Window
+// exposes and Next copies from: no I/O, no varint decoding and no
 // allocation once the source is built.
 type MemSource struct {
-	recs      []record
-	esc       []Inst
-	pos       int    // records consumed
-	win       []Inst // the expanded records from pos on, a prefix of buf
+	t         *table
+	pos       int    // instructions consumed
+	addr      int    // addresses the expanded windows took
+	esc       int    // escaped instructions the expanded windows hold
+	win       []Inst // the expanded instructions from pos on, a prefix of buf
 	buf       []Inst
 	h         Header
 	decodeErr error
 }
 
-// expandRun is the number of records a MemSource expands per window: far
-// past the fetch stride, and its 12 KiB buffer stays cache-resident.
+// expandRun is the number of instructions a MemSource expands per
+// window: far past the fetch stride, and its 12 KiB buffer stays
+// cache-resident.
 const expandRun = 256
 
-func newMemSource(recs []record, esc []Inst, h Header, decodeErr error) *MemSource {
+func newMemSource(t *table, h Header, decodeErr error) *MemSource {
 	return &MemSource{
-		recs: recs, esc: esc, h: h, decodeErr: decodeErr,
-		buf: make([]Inst, min(expandRun, len(recs))),
+		t: t, h: h, decodeErr: decodeErr,
+		buf: make([]Inst, min(expandRun, len(t.ops))),
 	}
 }
 
-// NewMemSource returns a MemSource over a packed copy of insts with header
-// h (primarily for tests; arena Load is the production constructor).
+// NewMemSource returns a MemSource over a static-instruction table of
+// insts with header h (primarily for tests; arena Load is the production
+// constructor).
 func NewMemSource(insts []Inst, h Header) *MemSource {
 	recs := make([]record, len(insts))
 	var esc []Inst
 	for i := range insts {
 		recs[i], esc = pack(&insts[i], esc)
 	}
-	return newMemSource(recs, esc, h, nil)
+	b := newTableBuilder(len(insts))
+	b.add(recs, esc)
+	t := b.finish()
+	return newMemSource(&t, h, nil)
 }
 
 // Next implements Source.
@@ -325,13 +327,14 @@ func (m *MemSource) Next(out *Inst) bool {
 	return true
 }
 
-// Window implements WindowSource: the expanded run of records from the
-// current position, expanding the next run once the last one is consumed.
+// Window implements WindowSource: the expanded run of instructions from
+// the current position, expanding the next run once the last one is
+// consumed.
 //
 //wclint:hotpath
 func (m *MemSource) Window() []Inst {
 	if len(m.win) == 0 {
-		if m.pos >= len(m.recs) {
+		if m.pos >= len(m.t.ops) {
 			return nil
 		}
 		m.expand()
@@ -339,14 +342,18 @@ func (m *MemSource) Window() []Inst {
 	return m.win
 }
 
-// expand unpacks the next run of records, from the current position, into
-// the window buffer.
+// expand expands the next run of instructions, from the current
+// position, into the window buffer.
 //
 //wclint:hotpath
 func (m *MemSource) expand() {
-	recs := m.recs[m.pos:min(m.pos+len(m.buf), len(m.recs))]
-	unpack(recs, m.esc, m.buf)
-	m.win = m.buf[:len(recs)]
+	t := m.t
+	end := min(m.pos+len(m.buf), len(t.ops))
+	m.addr += expand(t.statics, t.ops[m.pos:end], t.addrs[m.addr:], m.buf)
+	for ; m.esc < len(t.escAt) && int(t.escAt[m.esc]) < end; m.esc++ {
+		m.buf[int(t.escAt[m.esc])-m.pos] = t.esc[m.esc]
+	}
+	m.win = m.buf[:end-m.pos]
 }
 
 // Advance implements WindowSource.
@@ -364,7 +371,7 @@ func (m *MemSource) Header() Header { return m.h }
 func (m *MemSource) Count() int64 { return int64(m.pos) }
 
 // Remaining returns the number of records left to replay.
-func (m *MemSource) Remaining() int64 { return int64(len(m.recs) - m.pos) }
+func (m *MemSource) Remaining() int64 { return int64(len(m.t.ops) - m.pos) }
 
 // Err returns the decode error the backing file carries beyond the records
 // Next can reach, or nil for a clean trace. A consumer that drained fewer
@@ -374,4 +381,4 @@ func (m *MemSource) Remaining() int64 { return int64(len(m.recs) - m.pos) }
 func (m *MemSource) Err() error { return m.decodeErr }
 
 // Reset rewinds the source to the beginning.
-func (m *MemSource) Reset() { m.pos, m.win = 0, nil }
+func (m *MemSource) Reset() { m.pos, m.addr, m.esc, m.win = 0, 0, 0, nil }

@@ -11,7 +11,8 @@ import (
 	"waycache/internal/isa"
 )
 
-// arenaInsts builds a small deterministic stream for capture tests.
+// arenaInsts builds a small deterministic stream for capture tests: n
+// loads, each at a PC of its own.
 func arenaInsts(n int) []Inst {
 	insts := make([]Inst, n)
 	pc := uint64(0x1000)
@@ -23,24 +24,37 @@ func arenaInsts(n int) []Inst {
 	return insts
 }
 
+// arenaInstsBytes is the exact resident size of arenaInsts(n): no PC
+// repeats, so every instruction is a static of its own, and every one
+// carries an address (plus the table's padding word).
+func arenaInstsBytes(n int) int64 {
+	return int64(n)*(recordBytes+opBytes) + int64(n+1)*addrBytes
+}
+
 func writeTrace(t *testing.T, path string, h Header, insts []Inst) {
 	t.Helper()
+	if err := os.WriteFile(path, encodeTrace(t, h, insts), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// encodeTrace returns insts in the trace format under header h.
+func encodeTrace(tb testing.TB, h Header, insts []Inst) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, h)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := range insts {
 		if err := w.Write(&insts[i]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
 }
 
 func drain(src Source) []Inst {
@@ -98,7 +112,7 @@ func TestArenaDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same backing array, independent cursors.
-	if &s1.recs[0] != &s2.recs[0] {
+	if s1.t != s2.t {
 		t.Fatal("second Load decoded a fresh copy instead of sharing the arena slice")
 	}
 	var in Inst
@@ -185,7 +199,8 @@ func TestArenaMissingFile(t *testing.T) {
 
 func TestArenaEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
-	a := NewArena(250) // room for two 100-record files, not three
+	capBytes := 5 * arenaInstsBytes(100) / 2 // room for two 100-record files, not three
+	a := NewArena(capBytes)
 	paths := make([]string, 3)
 	for i := range paths {
 		paths[i] = filepath.Join(dir, string(rune('a'+i))+".wct")
@@ -196,8 +211,8 @@ func TestArenaEvictsLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Resident() > 250 {
-		t.Fatalf("resident %d exceeds capacity 250", a.Resident())
+	if a.ResidentBytes() > capBytes {
+		t.Fatalf("resident %d bytes exceeds capacity %d", a.ResidentBytes(), capBytes)
 	}
 	if a.Len() != 2 {
 		t.Fatalf("arena holds %d files, want 2 after LRU eviction", a.Len())
@@ -241,7 +256,7 @@ func TestArenaConcurrentLoadDecodesOnce(t *testing.T) {
 		return
 	}
 	for _, s := range srcs[1:] {
-		if &s.recs[0] != &srcs[0].recs[0] {
+		if s.t != srcs[0].t {
 			t.Fatal("concurrent loads decoded independent copies")
 		}
 	}

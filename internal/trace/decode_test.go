@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"waycache/internal/trace"
@@ -30,6 +32,59 @@ func suiteCapture(tb testing.TB, n int64) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// suiteFootprint is the exact ResidentBytes of each suite benchmark's
+// first suiteInsts instructions, decoded through an arena. It pins the
+// resident form: a change to how the arena holds a capture must change
+// this table, and the test fails the same way on any host, unlike a
+// wall-clock reading.
+var suiteFootprint = map[string]int64{
+	"applu":   1043392,
+	"fpppp":   1122832,
+	"gcc":     985760,
+	"go":      973080,
+	"li":      1058168,
+	"m88ksim": 993048,
+	"mgrid":   1038472,
+	"perl":    1139856,
+	"swim":    1068864,
+	"troff":   1093784,
+	"vortex":  1097456,
+}
+
+// TestSuiteFootprint captures each suite benchmark's first suiteInsts
+// instructions and checks what its decode keeps resident against
+// suiteFootprint.
+func TestSuiteFootprint(t *testing.T) {
+	dir := t.TempDir()
+	var bad []string
+	for _, name := range workload.Names() {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+trace.FileExt)
+		h := trace.Header{Benchmark: name, Seed: p.Seed, Insts: suiteInsts}
+		if err := trace.CaptureFile(path, h, p.NewWalker()); err != nil {
+			t.Fatal(err)
+		}
+		a := trace.NewArena(0)
+		if _, err := a.Load(path); err != nil {
+			t.Fatal(err)
+		}
+		if a.Resident() != suiteInsts {
+			t.Fatalf("%s: %d instructions resident, want %d", name, a.Resident(), suiteInsts)
+		}
+		got := a.ResidentBytes()
+		if want, ok := suiteFootprint[name]; !ok || got != want {
+			bad = append(bad, fmt.Sprintf("%s: ResidentBytes %d (%.2f B/inst), table has %d", name, got, float64(got)/suiteInsts, want))
+		}
+	}
+	if len(bad) > 0 || len(suiteFootprint) != len(workload.Names()) {
+		t.Fatalf("suite footprint differs from suiteFootprint (%d entries for %d benchmarks):\n%s",
+			len(suiteFootprint), len(workload.Names()), strings.Join(bad, "\n"))
+	}
 }
 
 // TestReaderNextZeroAllocs pins the streaming decode as allocation-free:

@@ -319,13 +319,14 @@ func (r *Reader) Next(out *Inst) bool {
 		r.fill()
 	}
 	r.dec.esc = r.dec.esc[:0] // the escape table only ever holds this record
-	var rec record
-	n, ok := r.dec.next(r.win, r.end, &rec)
+	var rec [1]record
+	k, n := r.dec.next(r.win, r.end, rec[:])
 	r.win = r.win[n:]
-	if ok {
-		rec.inst(r.dec.esc, out)
+	if k == 0 {
+		return false
 	}
-	return ok
+	rec[0].inst(r.dec.esc, out)
+	return true
 }
 
 // fill discards the decoded bytes from r.r and refills the window to at
@@ -354,7 +355,7 @@ var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // decoder is the state of one record stream: the declared count, the
 // records decoded so far, the delta bases, the escape table and the first
-// error. Reader and the arena both decode through it into packed records
+// error. Reader and the arena both decode through it into records
 // (packed.go), so the record grammar and the end-of-stream rules live
 // here alone.
 type decoder struct {
@@ -372,91 +373,129 @@ func (d *decoder) done() bool {
 	return d.err != nil || d.declared > 0 && d.read >= d.declared
 }
 
-// next decodes the record at the head of b into the packed record *out
-// and returns the bytes it occupies. b holds at least maxRecordLen bytes
-// unless the input ends within them; end is then the error that ended it
-// (io.EOF for a clean end of file). next returns false at the end of the
-// stream or on error (see d.err), writing *out only on success. Call it
-// only while !d.done(). Errors read exactly as a byte-at-a-time stream
-// decode reports them.
+// next decodes records from the head of b into out — up to len(out) of
+// them, stopping early at the end of the stream or on error (see d.err) —
+// and returns how many it decoded and the bytes they occupy. b holds at
+// least maxRecordLen bytes past the start of each record unless the input
+// ends within them; end is then the error that ended it (io.EOF for a
+// clean end of file). Reader decodes one record at a time out of its
+// window; the arena decodes a run at a time out of the whole file, which
+// keeps the delta bases in registers across the run. Errors read exactly
+// as a byte-at-a-time stream decode reports them.
 //
 //wclint:hotpath
-func (d *decoder) next(b []byte, end error, out *record) (int, bool) {
-	if len(b) == 0 {
-		return 0, d.stop(end)
-	}
-	op := b[0]
-	kind := isa.Kind(op & opKindMask)
-	if int(kind) >= isa.NumKinds {
-		return 0, d.badOp(op)
-	}
-	r := record{pc: d.nextPC}
-	kb := byte(kind) // the record's kind byte
-	var dst, src1, src2 isa.Reg
-	n := 1
-	var v int64
-	if op&opPCDelta != 0 {
-		if v, n = varintAt(b, n); n <= 0 {
-			return 0, d.badVarint("pc delta", n, end)
+func (d *decoder) next(b []byte, end error, out []record) (k, used int) {
+	nextPC, prevAddr := d.nextPC, d.prevAddr // the delta bases, in registers
+records:
+	for ; k < len(out) && !d.done(); k++ {
+		if len(b) == 0 {
+			d.stop(end)
+			break records
 		}
-		r.pc += uint64(v)
-	}
-	if op&opRegs != 0 {
-		if len(b)-n < 3 {
-			return 0, d.badRegs(len(b)-n, end)
+		op := b[0]
+		kind := isa.Kind(op & opKindMask)
+		if int(kind) >= isa.NumKinds {
+			d.badOp(op)
+			break records
 		}
-		dst, src1, src2 = isa.Reg(b[n]), isa.Reg(b[n+1]), isa.Reg(b[n+2])
-		n += 3
-	}
-	switch {
-	case kind.IsMem():
-		if op&opTaken != 0 {
-			return 0, d.badOp(op)
-		}
-		if v, n = varintAt(b, n); n <= 0 {
-			return 0, d.badVarint("address delta", n, end)
-		}
-		r.payload = d.prevAddr + uint64(v)
-		if v, n = varintAt(b, n); n <= 0 {
-			return 0, d.badVarint("offset", n, end)
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return 0, d.badOffset(v)
-		}
-		r.off = int32(v)
-		kb |= recMem
-		d.prevAddr = r.payload
-		if op&opBaseValue != 0 {
-			if v, n = varintAt(b, n); n <= 0 {
-				return 0, d.badVarint("base value delta", n, end)
+		r := record{pc: nextPC}
+		kb := byte(kind) // the record's kind byte
+		var dst, src1, src2 isa.Reg
+		n := 1
+		var v int64
+		var ok bool
+		if op&opPCDelta != 0 {
+			if v, ok = byteVarint(b, n); ok {
+				n++
+			} else if v, n = varintAt(b, n); n <= 0 {
+				d.badVarint("pc delta", n, end)
+				break records
 			}
-			kb |= recEscape
-			r.payload = d.escape(Inst{
-				PC: r.pc, Kind: kind, Dst: dst, Src1: src1, Src2: src2,
-				Addr: r.payload, BaseValue: r.payload + uint64(v), Offset: r.off,
-			})
+			r.pc += uint64(v)
 		}
-	case kind.IsControl():
-		if op&opBaseValue != 0 {
-			return 0, d.badOp(op)
+		if op&opRegs != 0 {
+			if len(b)-n < 3 {
+				d.badRegs(len(b)-n, end)
+				break records
+			}
+			dst, src1, src2 = isa.Reg(b[n]), isa.Reg(b[n+1]), isa.Reg(b[n+2])
+			n += 3
 		}
-		if v, n = varintAt(b, n); n <= 0 {
-			return 0, d.badVarint("target delta", n, end)
+		switch {
+		case kind.IsMem():
+			if op&opTaken != 0 {
+				d.badOp(op)
+				break records
+			}
+			if v, n = varintAt(b, n); n <= 0 {
+				d.badVarint("address delta", n, end)
+				break records
+			}
+			r.payload = prevAddr + uint64(v)
+			if v, ok = byteVarint(b, n); ok {
+				n++
+			} else if v, n = varintAt(b, n); n <= 0 {
+				d.badVarint("offset", n, end)
+				break records
+			}
+			if v < math.MinInt32 || v > math.MaxInt32 {
+				d.badOffset(v)
+				break records
+			}
+			r.off = int32(v)
+			kb |= recMem
+			prevAddr = r.payload
+			if op&opBaseValue != 0 {
+				if v, n = varintAt(b, n); n <= 0 {
+					d.badVarint("base value delta", n, end)
+					break records
+				}
+				kb |= recEscape
+				r.payload = d.escape(Inst{
+					PC: r.pc, Kind: kind, Dst: dst, Src1: src1, Src2: src2,
+					Addr: r.payload, BaseValue: r.payload + uint64(v), Offset: r.off,
+				})
+			}
+		case kind.IsControl():
+			if op&opBaseValue != 0 {
+				d.badOp(op)
+				break records
+			}
+			if v, ok = byteVarint(b, n); ok {
+				n++
+			} else if v, n = varintAt(b, n); n <= 0 {
+				d.badVarint("target delta", n, end)
+				break records
+			}
+			r.payload = r.pc + uint64(v)
+			if op&opTaken != 0 {
+				kb |= recTaken
+			}
+		default:
+			if op&(opTaken|opBaseValue) != 0 {
+				d.badOp(op)
+				break records
+			}
 		}
-		r.payload = r.pc + uint64(v)
-		if op&opTaken != 0 {
-			kb |= recTaken
-		}
-	default:
-		if op&(opTaken|opBaseValue) != 0 {
-			return 0, d.badOp(op)
-		}
+		r.meta = packMeta(kb, dst, src1, src2)
+		nextPC = r.pc + isa.InstBytes
+		d.read++
+		out[k] = r
+		b = b[n:]
+		used += n
 	}
-	r.meta = packMeta(kb, dst, src1, src2)
-	d.nextPC = r.pc + isa.InstBytes
-	d.read++
-	*out = r
-	return n, true
+	d.nextPC, d.prevAddr = nextPC, prevAddr
+	return k, used
+}
+
+// byteVarint decodes the zigzag varint at b[n] if it is one byte long,
+// which most PC deltas, offsets and target deltas are: next inlines it
+// before falling back to varintAt.
+func byteVarint(b []byte, n int) (int64, bool) {
+	if uint(n) < uint(len(b)) && b[n] < 0x80 {
+		return zigzagDecode(uint64(b[n])), true
+	}
+	return 0, false
 }
 
 // varintAt decodes the zigzag varint at b[n:], returning it and the
@@ -478,35 +517,35 @@ func varintAt(b []byte, n int) (int64, int) {
 // stop ends the stream at a record boundary: cleanly at end of file
 // unless the header declared more records, and with the input's own error
 // otherwise.
-func (d *decoder) stop(end error) bool {
+func (d *decoder) stop(end error) {
 	switch {
 	case end != io.EOF:
 		d.err = end
 	case d.declared > 0:
 		d.fail("file ends after %d of %d declared records", d.read, d.declared)
 	}
-	return false
 }
 
 // badOp reports an opcode with an invalid kind or a flag bit meaningless
 // for its kind.
-func (d *decoder) badOp(op byte) bool {
+func (d *decoder) badOp(op byte) {
 	kind := isa.Kind(op & opKindMask)
 	switch {
 	case int(kind) >= isa.NumKinds:
-		return d.fail("invalid kind %d", kind)
+		d.fail("invalid kind %d", kind)
 	case kind.IsMem():
-		return d.fail("taken flag on memory kind %s", kind)
+		d.fail("taken flag on memory kind %s", kind)
 	case kind.IsControl():
-		return d.fail("base-value flag on control kind %s", kind)
+		d.fail("base-value flag on control kind %s", kind)
+	default:
+		d.fail("payload flags %#x on compute kind %s", op&(opTaken|opBaseValue), kind)
 	}
-	return d.fail("payload flags %#x on compute kind %s", op&(opTaken|opBaseValue), kind)
 }
 
 // badVarint reports a varint field that the input's end cuts short
 // (state 0) or that overflows 64 bits (state -1). A cut at end of file is
 // io.ErrUnexpectedEOF even before the field's first byte.
-func (d *decoder) badVarint(field string, state int, end error) bool {
+func (d *decoder) badVarint(field string, state int, end error) {
 	err := errVarintOverflow
 	if state == 0 {
 		err = end
@@ -514,26 +553,26 @@ func (d *decoder) badVarint(field string, state int, end error) bool {
 			err = io.ErrUnexpectedEOF
 		}
 	}
-	return d.fail("%s: %v", field, err)
+	d.fail("%s: %v", field, err)
 }
 
 // badRegs reports register bytes that the input's end cuts short after
 // have of the three, with io.ReadFull's errors: io.EOF when none are
 // present, io.ErrUnexpectedEOF when some are.
-func (d *decoder) badRegs(have int, end error) bool {
+func (d *decoder) badRegs(have int, end error) {
 	err := end
 	if have > 0 && end == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	return d.fail("registers: %v", err)
+	d.fail("registers: %v", err)
 }
 
 // badOffset reports a memory offset outside int32. It is small enough to
 // inline, which would move its boxing of off into next.
 //
 //go:noinline
-func (d *decoder) badOffset(off int64) bool {
-	return d.fail("offset %d outside int32", off)
+func (d *decoder) badOffset(off int64) {
+	d.fail("offset %d outside int32", off)
 }
 
 // escape appends in, a memory record whose explicit base value breaks
@@ -547,9 +586,8 @@ func (d *decoder) escape(in Inst) uint64 {
 	return uint64(len(d.esc) - 1)
 }
 
-func (d *decoder) fail(format string, args ...any) bool {
+func (d *decoder) fail(format string, args ...any) {
 	d.err = fmt.Errorf("trace: record %d: %s", d.read, fmt.Sprintf(format, args...))
-	return false
 }
 
 // File is an open trace file: a Reader over the file plus its handle.

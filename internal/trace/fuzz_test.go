@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,30 +23,22 @@ func FuzzTraceReader(f *testing.F) {
 	// Seed: a well-formed capture touching every record class (compute,
 	// zero- and nonzero-offset memory, control with and without PC
 	// discontinuities) so the fuzzer starts inside the grammar.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{Benchmark: "fuzz-seed", Seed: 7, Insts: 5})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, in := range []Inst{
+	seed := encodeTrace(f, Header{Benchmark: "fuzz-seed", Seed: 7, Insts: 5}, []Inst{
 		{PC: 0x1000, Kind: isa.KindIntALU, Dst: 1, Src1: 2, Src2: 3},
 		{PC: 0x1000 + isa.InstBytes, Kind: isa.KindLoad, Addr: 0x2000, BaseValue: 0x2000},
 		{PC: 0x1000 + 2*isa.InstBytes, Kind: isa.KindStore, Addr: 0x2040, BaseValue: 0x2038, Offset: 8},
 		{PC: 0x1000 + 3*isa.InstBytes, Kind: isa.KindBranch, Taken: true, Target: 0x1000},
 		{PC: 0x1000, Kind: isa.KindJump, Taken: true, Target: 0x3000},
-	} {
-		if err := w.Write(&in); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	seed := buf.Bytes()
+	})
 	f.Add(seed, uint16(0))
 	f.Add(seed[:len(seed)-3], uint16(2)) // truncated mid-record
 	f.Add([]byte(Magic), uint16(0))      // magic without version or header
 	f.Add([]byte{}, uint16(0))
+	// A capture that revisits a few PCs with both branch directions,
+	// several return targets and interleaved escapes, so the fuzzer also
+	// starts inside the paths where the arena's static table shares.
+	shared := sharedInsts(rand.New(rand.NewSource(9)), 2*expandRun+31)
+	f.Add(encodeTrace(f, Header{Benchmark: "fuzz-shared", Insts: int64(len(shared))}, shared), uint16(expandRun+3))
 
 	path := filepath.Join(f.TempDir(), "fuzz"+FileExt) // inputs run one at a time per process
 	f.Fuzz(func(t *testing.T, data []byte, stride uint16) {

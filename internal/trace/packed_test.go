@@ -60,8 +60,8 @@ func TestMemSourcePackedRoundTrip(t *testing.T) {
 	const n = 3*expandRun + 77
 	insts := randomInsts(rng, n)
 	src := NewMemSource(insts, Header{})
-	if len(src.esc) == 0 || len(src.esc) == n {
-		t.Fatalf("%d of %d instructions escaped: the input must exercise both paths", len(src.esc), n)
+	if len(src.t.esc) == 0 || len(src.t.esc) == n {
+		t.Fatalf("%d of %d instructions escaped: the input must exercise both paths", len(src.t.esc), n)
 	}
 	check := func(what string, pos int) {
 		t.Helper()
@@ -122,7 +122,8 @@ func TestMemSourcePackedRoundTrip(t *testing.T) {
 // TestArenaEscapesExplicitBaseValue loads a capture whose records include
 // explicit base values (Writer's opBaseValue): those records go to the
 // escape table and replay unchanged, through Next and Window alike, with
-// the escapes counted in ResidentBytes.
+// the escapes counted in ResidentBytes. Escaped instructions share one
+// placeholder static and take no address.
 func TestArenaEscapesExplicitBaseValue(t *testing.T) {
 	insts := arenaInsts(3 * expandRun)
 	for i := range insts {
@@ -138,8 +139,8 @@ func TestArenaEscapesExplicitBaseValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(src.esc) != 8 {
-		t.Fatalf("%d records escaped, want 8", len(src.esc))
+	if len(src.t.esc) != 8 {
+		t.Fatalf("%d records escaped, want 8", len(src.t.esc))
 	}
 	got := drain(src)
 	if len(got) != len(insts) {
@@ -161,14 +162,19 @@ func TestArenaEscapesExplicitBaseValue(t *testing.T) {
 		src.Advance(len(w))
 		pos += len(w)
 	}
-	if want := int64(len(insts))*recordBytes + 8*instBytes; a.ResidentBytes() != want {
+	// One static per unescaped instruction (each has a PC of its own)
+	// plus the escapes' shared one, an op per instruction, an address per
+	// unescaped instruction plus the padding word, and each escape with
+	// its position.
+	n := int64(len(insts))
+	if want := (n-8+1)*(recordBytes+addrBytes) + n*opBytes + 8*(instBytes+opBytes); a.ResidentBytes() != want {
 		t.Fatalf("ResidentBytes %d, want %d", a.ResidentBytes(), want)
 	}
 }
 
 func TestArenaResidentBytes(t *testing.T) {
 	dir := t.TempDir()
-	a := NewArena(250) // room for two 100-record files, not three
+	a := NewArena(5 * arenaInstsBytes(100) / 2) // room for two 100-record files, not three
 	if a.ResidentBytes() != 0 {
 		t.Fatalf("empty arena holds %d bytes", a.ResidentBytes())
 	}
@@ -179,8 +185,103 @@ func TestArenaResidentBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := min(i+1, 2) // the third load evicts the first
-		if want := int64(files) * 100 * 24; a.ResidentBytes() != want {
+		if want := int64(files) * (100*24 + 100*4 + 101*8); a.ResidentBytes() != want {
 			t.Fatalf("after %d loads: ResidentBytes %d, want %d", i+1, a.ResidentBytes(), want)
+		}
+	}
+}
+
+// sharedInsts draws n grammar-valid instructions from a handful of PCs,
+// so the static table shares statics across them. Each PC is revisited
+// with fields that differ one at a time: a branch taken and not taken to
+// two targets, a return to many targets, a load and a store with
+// different offsets and registers, compute kinds with different
+// registers, and memory instructions with explicit base values (escapes)
+// interleaved. Only the addresses vary freely.
+func sharedInsts(rng *rand.Rand, n int) []Inst {
+	const pc = 0x4000
+	variants := []Inst{
+		{PC: pc, Kind: isa.KindBranch, Taken: true, Target: pc + 0x40},
+		{PC: pc, Kind: isa.KindBranch, Taken: false, Target: pc + 0x40},
+		{PC: pc, Kind: isa.KindBranch, Taken: true, Target: pc - 0x80},
+		{PC: pc, Kind: isa.KindJump, Taken: true, Target: pc + 0x40},
+		{PC: pc + 4, Kind: isa.KindLoad, Dst: 3, Src1: 4, Offset: 8},
+		{PC: pc + 4, Kind: isa.KindLoad, Dst: 3, Src1: 4, Offset: -8},
+		{PC: pc + 4, Kind: isa.KindLoad, Dst: 5, Src1: 4, Offset: 8},
+		{PC: pc + 4, Kind: isa.KindStore, Src1: 4, Src2: 3, Offset: 8},
+		{PC: pc + 8, Kind: isa.KindIntALU, Dst: 1, Src1: 2, Src2: 3},
+		{PC: pc + 8, Kind: isa.KindIntALU, Dst: 1, Src1: 3, Src2: 2},
+		{PC: pc + 8, Kind: isa.KindIntMul, Dst: 1, Src1: 2, Src2: 3},
+		{PC: pc + 8, Kind: isa.KindNop},
+	}
+	for t := uint64(0); t < 40; t++ {
+		variants = append(variants, Inst{PC: pc + 12, Kind: isa.KindReturn, Taken: true, Target: 0x9000 + 16*t})
+	}
+	insts := make([]Inst, n)
+	for i := range insts {
+		in := variants[rng.Intn(len(variants))]
+		if in.Kind.IsMem() {
+			in.Addr = 0x10_0000 + uint64(rng.Intn(1<<16))*8
+			in.BaseValue = in.Addr - uint64(int64(in.Offset))
+			if rng.Intn(10) == 0 { // an explicit base value: escaped
+				in.BaseValue ^= 0xbeef_0000
+			}
+		}
+		insts[i] = in
+	}
+	return insts
+}
+
+// TestMemSourceSharedStatics replays a stream that revisits a few PCs
+// with every keyed field varied, through both table builders (the
+// arena's decode and NewMemSource's packing): every field must come back
+// as it went in, through Next, through Window/Advance in strides that
+// straddle the expansion run, and from a Reset in the middle of a window.
+func TestMemSourceSharedStatics(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 4*expandRun + 77
+	insts := sharedInsts(rng, n)
+	path := filepath.Join(t.TempDir(), "shared.wct")
+	writeTrace(t, path, Header{Insts: n}, insts)
+	loaded, err := NewArena(0).Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]*MemSource{"arena": loaded, "NewMemSource": NewMemSource(insts, Header{})} {
+		if s, e := len(src.t.statics), len(src.t.esc); s > 60 || e == 0 || e == n {
+			t.Fatalf("%s: %d statics and %d escapes for %d instructions: the input must share statics and escape some", name, s, e, n)
+		}
+		var in Inst
+		for i := range insts {
+			if !src.Next(&in) || in != insts[i] {
+				t.Fatalf("%s: Next %d: got %+v, want %+v", name, i, in, insts[i])
+			}
+		}
+		if src.Next(&in) {
+			t.Fatalf("%s: drained source still yields instructions", name)
+		}
+		for _, stride := range []int{1, 3, 7, expandRun - 1, expandRun, expandRun + 1, 2*expandRun + 5} {
+			// Start each pass from a Reset in the middle of a window.
+			src.Reset()
+			src.Advance(stride % len(src.Window()))
+			src.Reset()
+			for pos := 0; pos < n; {
+				w := src.Window()
+				k := min(len(w), stride)
+				if k == 0 {
+					t.Fatalf("%s, stride %d: window empty at %d of %d", name, stride, pos, n)
+				}
+				for j := range w[:k] {
+					if w[j] != insts[pos+j] {
+						t.Fatalf("%s, stride %d, record %d: got %+v, want %+v", name, stride, pos+j, w[j], insts[pos+j])
+					}
+				}
+				src.Advance(k)
+				pos += k
+			}
+			if src.Window() != nil {
+				t.Fatalf("%s, stride %d: window after the last record", name, stride)
+			}
 		}
 	}
 }

@@ -72,7 +72,7 @@ func TestArenaLoadRefSharesAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &s1.recs[0] != &s2.recs[0] {
+	if s1.t != s2.t {
 		t.Fatal("same hash at two paths decoded twice; hash key should share the decode")
 	}
 	if a.Len() != 1 || a.Resident() != 120 {

@@ -11,10 +11,12 @@
 // docs/TRACE_FORMAT.md) is versioned and varint-delta-compressed, so
 // sweeps replay recorded workloads byte-identically without re-walking
 // the generators. Hot replay paths go through the process-wide Arena
-// (arena.go), which decodes each capture once into a shared slice of
-// 24-byte packed records (packed.go) and replays it by index
-// (MemSource), expanding one fetch window of records at a time, so an
-// N-config sweep pays one decode per file instead of one per simulation.
+// (arena.go), which decodes each capture once into a shared
+// static-instruction table (packed.go) — its distinct instructions, a
+// 4-byte index per dynamic instruction and the memory addresses — and
+// replays it by index (MemSource), expanding one fetch window of
+// instructions at a time, so an N-config sweep pays one decode per file
+// instead of one per simulation.
 package trace
 
 import "waycache/internal/isa"
