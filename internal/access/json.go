@@ -16,13 +16,15 @@ func (p DPolicy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String())
 // UnmarshalJSON implements json.Unmarshaler, accepting a policy name or an
 // integer enum value.
 func (p *DPolicy) UnmarshalJSON(data []byte) error {
+	if cand, ok := dPolicyNamed(string(quotedName(data))); ok {
+		*p = cand
+		return nil
+	}
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
-		for cand := DParallel; cand <= DWayPredMRU; cand++ {
-			if cand.String() == s {
-				*p = cand
-				return nil
-			}
+		if cand, ok := dPolicyNamed(s); ok {
+			*p = cand
+			return nil
 		}
 		return fmt.Errorf("access: unknown d-cache policy %q", s)
 	}
@@ -43,13 +45,15 @@ func (p IPolicy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String())
 // UnmarshalJSON implements json.Unmarshaler, accepting a policy name or an
 // integer enum value.
 func (p *IPolicy) UnmarshalJSON(data []byte) error {
+	if cand, ok := iPolicyNamed(string(quotedName(data))); ok {
+		*p = cand
+		return nil
+	}
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
-		for _, cand := range []IPolicy{IParallel, IWayPred} {
-			if cand.String() == s {
-				*p = cand
-				return nil
-			}
+		if cand, ok := iPolicyNamed(s); ok {
+			*p = cand
+			return nil
 		}
 		return fmt.Errorf("access: unknown i-cache policy %q", s)
 	}
@@ -62,4 +66,34 @@ func (p *IPolicy) UnmarshalJSON(data []byte) error {
 	}
 	*p = IPolicy(n)
 	return nil
+}
+
+// quotedName returns what lies between the quotes of a quoted JSON token,
+// or nil for any other token. Policy names hold no quote, backslash or
+// control character, so when it is a name the token is exactly the
+// literal MarshalJSON writes, and matching it needs no decoding (nor the
+// allocations decoding costs).
+func quotedName(data []byte) []byte {
+	if n := len(data); n >= 2 && data[0] == '"' && data[n-1] == '"' {
+		return data[1 : n-1]
+	}
+	return nil
+}
+
+func dPolicyNamed(name string) (DPolicy, bool) {
+	for cand := DParallel; cand <= DWayPredMRU; cand++ {
+		if cand.String() == name {
+			return cand, true
+		}
+	}
+	return 0, false
+}
+
+func iPolicyNamed(name string) (IPolicy, bool) {
+	for _, cand := range []IPolicy{IParallel, IWayPred} {
+		if cand.String() == name {
+			return cand, true
+		}
+	}
+	return 0, false
 }

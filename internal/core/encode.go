@@ -18,6 +18,12 @@ package core
 // decode as their zero value from old records, and old readers ignore
 // fields they do not know. Container-level versioning (magic + version
 // byte, checksums) is the store's job, not the payload's.
+//
+// encoding/json defines the format in both directions. EncodeResult is
+// json.Marshal itself; DecodeResult reads with a hand-written reader
+// (decode.go) whose semantics equal json.Unmarshal's, because a server
+// decodes every stored result whenever it rebuilds its corpus.
+// FuzzDecodeResult holds the reader to json.Unmarshal as its oracle.
 
 import (
 	"encoding/json"
@@ -44,12 +50,19 @@ func EncodeResult(r *Result) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeResult decodes bytes produced by EncodeResult. Decoding is
-// tolerant of unknown fields, so records written by a newer waycache still
-// decode (new fields are simply dropped); fields absent from old records
-// decode as zero values.
+// DecodeResult decodes bytes produced by EncodeResult, exactly as
+// json.Unmarshal into a Result would: records written by a newer waycache
+// still decode (unknown fields are skipped), fields absent from old
+// records decode as zero values, and policies decode from names or legacy
+// integers. A canonical payload is read by a reflection-free reader (see
+// decode.go); any input it cannot vouch for goes to encoding/json, which
+// also supplies every decoding error.
 func DecodeResult(data []byte) (*Result, error) {
 	r := new(Result)
+	if decodeResult(data, r) {
+		return r, nil
+	}
+	*r = Result{}
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, fmt.Errorf("core: decoding result: %w", err)
 	}

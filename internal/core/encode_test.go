@@ -131,19 +131,28 @@ func BenchmarkDecodeResult(b *testing.B) {
 }
 
 func TestDecodeResultToleratesUnknownFields(t *testing.T) {
-	// Forward compatibility: a record written by a newer waycache with an
-	// extra field still decodes.
+	// Forward compatibility: a record written by a newer waycache, with
+	// extra fields of every JSON kind at the top level and inside a nested
+	// struct, decodes to exactly the result the known fields hold.
 	r := testResult(t)
 	data, err := EncodeResult(r)
 	if err != nil {
 		t.Fatalf("EncodeResult: %v", err)
 	}
-	patched := append([]byte(`{"FutureField":42,`), data[1:]...)
+	const unknown = `"FutureObject":{"a":[1,{"b":null}],"c":"d"},"FutureArray":[1.5e3,"s",[],{}],` +
+		`"FutureString":"tab\t \"quoted\" \u00e9 \\","FutureNull":null,"FutureBool":true,"FutureNumber":-0.5e-3,`
+	patched := bytes.Replace(data, []byte(`{"Benchmark"`), []byte(`{`+unknown+`"Benchmark"`), 2)
+	if n := bytes.Count(patched, []byte(`"FutureObject"`)); n != 2 {
+		t.Fatalf("patched %d objects, want the top level and Config", n)
+	}
 	got, err := DecodeResult(patched)
 	if err != nil {
-		t.Fatalf("DecodeResult with unknown field: %v", err)
+		t.Fatalf("DecodeResult with unknown fields: %v", err)
 	}
-	if got.Cycles() != r.Cycles() {
-		t.Errorf("decoded Cycles = %d, want %d", got.Cycles(), r.Cycles())
+	if !reflect.DeepEqual(got, r) {
+		t.Errorf("unknown fields changed the decoded result:\n got %+v\nwant %+v", got, r)
+	}
+	if !decodeResult(patched, new(Result)) {
+		t.Errorf("the reader left unknown fields to encoding/json")
 	}
 }

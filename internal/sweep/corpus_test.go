@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"waycache/internal/core"
 	"waycache/internal/pipeline"
 	"waycache/internal/prng"
+	"waycache/internal/resultdb"
+	"waycache/internal/workload"
 )
 
 // scratchRecords is the corpus Records must equal: a full scan of the
@@ -172,5 +175,50 @@ func TestStoreRecordsCollapsesAndOrders(t *testing.T) {
 	}
 	if recs, rescans := store.CorpusStats(); recs != 2 || rescans != 1 {
 		t.Fatalf("CorpusStats = %d records, %d rescans; want 2, 1", recs, rescans)
+	}
+}
+
+// BenchmarkStoreRecords times a cold corpus fill: the first Store.Records
+// over an on-disk result database of 1,496 entries, which a waycached pays
+// at start-up and on every rescan. Every entry is read and decoded before
+// exact duplicates collapse, so 88 real results (the suite's 11 benchmarks
+// under all 8 d-cache policies) stored under 17 keys each cost what as
+// many distinct results would.
+func BenchmarkStoreRecords(b *testing.B) {
+	const copies = 17
+	db, err := resultdb.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	distinct := 0
+	for _, p := range workload.Suite() {
+		for _, pol := range AllDPolicies() {
+			res, err := core.Run(core.Config{Benchmark: p.Name, Insts: 20_000, DPolicy: pol})
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, err := core.EncodeResult(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key, _ := res.Config.Key()
+			for i := 0; i < copies; i++ {
+				if err := db.PutEncoded(fmt.Sprintf("%s#%d", key, i), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			distinct++
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := NewStoreOn(Tiered{Front: NewMemory(), Back: db}).Records()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != distinct {
+			b.Fatalf("corpus holds %d records, want %d", len(recs), distinct)
+		}
 	}
 }
