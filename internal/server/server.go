@@ -929,6 +929,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	records, rescans := s.store.CorpusStats()
+	arena := trace.SharedArena() // the decoded captures trace replay serves from
 	resp := map[string]any{
 		"store": map[string]any{
 			"hits":    s.store.Hits(),
@@ -943,6 +944,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"scheduler": map[string]any{
 			"budget":  s.opts.Workers,
 			"waiting": s.budget.Waiting(),
+		},
+		"arena": map[string]any{
+			"files":         arena.Len(),
+			"insts":         arena.Resident(),
+			"residentBytes": arena.ResidentBytes(),
 		},
 	}
 	if c := s.opts.Compactor; c != nil {

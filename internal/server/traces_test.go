@@ -196,6 +196,25 @@ func TestSubmitTraceRefJob(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Error("trace:// job records differ from the walker job's records")
 	}
+
+	// The replayed capture stays decoded in the shared arena, and stats
+	// report its footprint.
+	var stats struct {
+		Arena struct {
+			Files         int   `json:"files"`
+			Insts         int64 `json:"insts"`
+			ResidentBytes int64 `json:"residentBytes"`
+		} `json:"arena"`
+	}
+	getJSON(t, ts.URL+"/api/v1/stats", &stats)
+	a := trace.SharedArena()
+	if stats.Arena.Files == 0 || stats.Arena.Insts < insts || stats.Arena.ResidentBytes == 0 {
+		t.Errorf("stats arena = %+v after a trace:// job, want the capture resident", stats.Arena)
+	}
+	if stats.Arena.Files != a.Len() || stats.Arena.Insts != a.Resident() || stats.Arena.ResidentBytes != a.ResidentBytes() {
+		t.Errorf("stats arena = %+v, SharedArena holds %d files, %d insts, %d bytes",
+			stats.Arena, a.Len(), a.Resident(), a.ResidentBytes())
+	}
 }
 
 // TestSubmitTraceRefValidation: malformed references 400 at submission,

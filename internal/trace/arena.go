@@ -6,13 +6,14 @@ package trace
 // every grid cell, and before the arena each cell paid the full streaming
 // decode (varint parsing, per-record validation) again. The arena decodes
 // each file once into a shared static-instruction table (packed.go): the
-// capture's distinct instructions, a 4-byte static index per dynamic
-// instruction and the memory addresses in stream order. Every simulation
-// gets an index-replay MemSource over that table, so an N-config grid
-// decodes each capture once instead of N/gridsize times. Replay does no
-// varint work: each MemSource expands a fixed run of instructions at a
-// time into its own fetch-window buffer, a table lookup and a few field
-// copies per instruction.
+// capture's distinct instructions, the runs of consecutive statics its
+// instructions form, and each memory address as a 2-byte delta from the
+// previous address of its static. Every simulation gets an index-replay
+// MemSource over that table, so an N-config grid decodes each capture
+// once instead of N/gridsize times. Replay does no varint work: each
+// MemSource expands a fixed run of instructions at a time into its own
+// fetch-window buffer, a run segment at a time, with a table read, a
+// delta add and a few field copies per instruction.
 //
 // Replay semantics are contractually identical to streaming the file with
 // Reader: the same instructions in the same order, and the same errors
@@ -33,10 +34,13 @@ import (
 )
 
 // DefaultArenaCap bounds the shared arena's resident bytes, as
-// ResidentBytes counts them. A resident instruction costs from 4 bytes (a
-// revisited static) to 36 (a memory instruction at a PC never seen
-// before) or 56 (an escaped one), so the cap counts memory, not
-// instructions.
+// ResidentBytes counts them. A resident instruction costs from a fraction
+// of a byte (a revisited non-memory static inside a run) to 46 (a memory
+// instruction at a PC never seen before that starts a run and takes a
+// wide address) or about 70 (an escaped one, a run of its own), so the
+// cap counts memory, not instructions. Suite captures cost 0.87 to 1.77
+// bytes per instruction, so 384 MiB holds about 230 to 460 million
+// suite-like instructions.
 // Long-lived processes (waycached) sweep many grids over the same handful
 // of captures; least-recently-used files are evicted past the cap.
 const DefaultArenaCap = 384 << 20
@@ -65,7 +69,7 @@ type arenaEntry struct {
 	h         Header
 	t         table
 	openErr   error // open/header failure: the whole load failed
-	decodeErr error // record-stream failure after len(t.ops) good records
+	decodeErr error // record-stream failure after t.insts() good records
 	lastUse   int64
 }
 
@@ -254,7 +258,7 @@ func (a *Arena) Resident() int64 {
 	var n int64
 	for _, e := range a.entries {
 		if e.lastUse != 0 { // accounted in resident: decoded and mapped
-			n += int64(len(e.t.ops))
+			n += int64(e.t.insts())
 		}
 	}
 	return n
@@ -271,17 +275,17 @@ func (a *Arena) ResidentBytes() int64 {
 
 // MemSource replays a decoded trace by index: the Source the arena hands
 // each simulation. The static-instruction table is shared; each MemSource
-// keeps its own cursors into it — the next instruction, and the next
-// address and escape past its expanded window — and expands up to
-// expandRun instructions at a time into its own buffer, which Window
-// exposes and Next copies from: no I/O, no varint decoding and no
-// allocation once the source is built.
+// keeps its own cursors into it — the next instruction, and the position
+// in the table's streams past its expanded window — and each memory
+// static's latest address, and expands up to expandRun instructions at a
+// time into its own buffer, which Window exposes and Next copies from: no
+// I/O, no varint decoding and no allocation once the source is built.
 type MemSource struct {
 	t         *table
-	pos       int    // instructions consumed
-	addr      int    // addresses the expanded windows took
-	esc       int    // escaped instructions the expanded windows hold
-	win       []Inst // the expanded instructions from pos on, a prefix of buf
+	pos       int      // instructions consumed
+	c         cursor   // the table's streams past the expanded window
+	last      []uint64 // by static: the latest address as of the window's end
+	win       []Inst   // the expanded instructions from pos on, a prefix of buf
 	buf       []Inst
 	h         Header
 	decodeErr error
@@ -295,7 +299,8 @@ const expandRun = 256
 func newMemSource(t *table, h Header, decodeErr error) *MemSource {
 	return &MemSource{
 		t: t, h: h, decodeErr: decodeErr,
-		buf: make([]Inst, min(expandRun, len(t.ops))),
+		last: make([]uint64, len(t.statics)),
+		buf:  make([]Inst, min(expandRun, t.insts())),
 	}
 }
 
@@ -334,26 +339,14 @@ func (m *MemSource) Next(out *Inst) bool {
 //wclint:hotpath
 func (m *MemSource) Window() []Inst {
 	if len(m.win) == 0 {
-		if m.pos >= len(m.t.ops) {
+		n := min(len(m.buf), m.t.insts()-m.pos)
+		if n <= 0 {
 			return nil
 		}
-		m.expand()
+		m.win = m.buf[:n]
+		m.t.expand(&m.c, m.last, m.win)
 	}
 	return m.win
-}
-
-// expand expands the next run of instructions, from the current
-// position, into the window buffer.
-//
-//wclint:hotpath
-func (m *MemSource) expand() {
-	t := m.t
-	end := min(m.pos+len(m.buf), len(t.ops))
-	m.addr += expand(t.statics, t.ops[m.pos:end], t.addrs[m.addr:], m.buf)
-	for ; m.esc < len(t.escAt) && int(t.escAt[m.esc]) < end; m.esc++ {
-		m.buf[int(t.escAt[m.esc])-m.pos] = t.esc[m.esc]
-	}
-	m.win = m.buf[:end-m.pos]
 }
 
 // Advance implements WindowSource.
@@ -371,7 +364,7 @@ func (m *MemSource) Header() Header { return m.h }
 func (m *MemSource) Count() int64 { return int64(m.pos) }
 
 // Remaining returns the number of records left to replay.
-func (m *MemSource) Remaining() int64 { return int64(len(m.t.ops) - m.pos) }
+func (m *MemSource) Remaining() int64 { return int64(m.t.insts() - m.pos) }
 
 // Err returns the decode error the backing file carries beyond the records
 // Next can reach, or nil for a clean trace. A consumer that drained fewer
@@ -380,5 +373,9 @@ func (m *MemSource) Remaining() int64 { return int64(len(m.t.ops) - m.pos) }
 // false.
 func (m *MemSource) Err() error { return m.decodeErr }
 
-// Reset rewinds the source to the beginning.
-func (m *MemSource) Reset() { m.pos, m.addr, m.esc, m.win = 0, 0, 0, nil }
+// Reset rewinds the source to the beginning, where no static has an
+// address yet.
+func (m *MemSource) Reset() {
+	m.pos, m.c, m.win = 0, cursor{}, nil
+	clear(m.last)
+}

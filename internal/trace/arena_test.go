@@ -25,10 +25,12 @@ func arenaInsts(n int) []Inst {
 }
 
 // arenaInstsBytes is the exact resident size of arenaInsts(n): no PC
-// repeats, so every instruction is a static of its own, and every one
-// carries an address (plus the table's padding word).
+// repeats, so every instruction is a static of its own (with its nextMem
+// entry, plus the closing one), all in one run (plus the terminating
+// run). Every address is a first visit past 32 KiB, so each takes the
+// sentinel delta and a wide word.
 func arenaInstsBytes(n int) int64 {
-	return int64(n)*(recordBytes+opBytes) + int64(n+1)*addrBytes
+	return int64(n)*(recordBytes+deltaBytes+wideBytes) + int64(n+1)*nextMemBytes + 2*runBytes
 }
 
 func writeTrace(t *testing.T, path string, h Header, insts []Inst) {

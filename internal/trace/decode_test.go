@@ -40,17 +40,17 @@ func suiteCapture(tb testing.TB, n int64) []byte {
 // this table, and the test fails the same way on any host, unlike a
 // wall-clock reading.
 var suiteFootprint = map[string]int64{
-	"applu":   1043392,
-	"fpppp":   1122832,
-	"gcc":     985760,
-	"go":      973080,
-	"li":      1058168,
-	"m88ksim": 993048,
-	"mgrid":   1038472,
-	"perl":    1139856,
-	"swim":    1068864,
-	"troff":   1093784,
-	"vortex":  1097456,
+	"applu":   179372,
+	"fpppp":   184958,
+	"gcc":     241288,
+	"go":      215342,
+	"li":      211466,
+	"m88ksim": 149158,
+	"mgrid":   130132,
+	"perl":    265312,
+	"swim":    144288,
+	"troff":   223340,
+	"vortex":  200922,
 }
 
 // TestSuiteFootprint captures each suite benchmark's first suiteInsts
@@ -170,7 +170,8 @@ func BenchmarkReaderNext(b *testing.B) {
 
 // BenchmarkArenaLoad loads a suite-sized capture file through a fresh
 // arena: the read, the header parse and the in-place decode a replayed
-// sweep pays once per capture.
+// sweep pays once per capture. It also reports what the decode keeps
+// resident per instruction.
 func BenchmarkArenaLoad(b *testing.B) {
 	data := suiteCapture(b, suiteInsts)
 	path := filepath.Join(b.TempDir(), "gcc"+trace.FileExt)
@@ -180,16 +181,20 @@ func BenchmarkArenaLoad(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var resident int64
 	for i := 0; i < b.N; i++ {
-		src, err := trace.NewArena(0).Load(path)
+		a := trace.NewArena(0)
+		src, err := a.Load(path)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if src.Err() != nil || src.Remaining() != suiteInsts {
 			b.Fatalf("loaded %d records: %v", src.Remaining(), src.Err())
 		}
+		resident = a.ResidentBytes()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteInsts), "ns/inst")
+	b.ReportMetric(float64(resident)/suiteInsts, "resident-B/inst")
 }
 
 // BenchmarkMemSourceWindow drains a suite-sized capture, decoded once

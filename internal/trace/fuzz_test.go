@@ -39,6 +39,10 @@ func FuzzTraceReader(f *testing.F) {
 	// starts inside the paths where the arena's static table shares.
 	shared := sharedInsts(rand.New(rand.NewSource(9)), 2*expandRun+31)
 	f.Add(encodeTrace(f, Header{Benchmark: "fuzz-shared", Insts: int64(len(shared))}, shared), uint16(expandRun+3))
+	// A loop whose addresses step across every edge of the arena's 2-byte
+	// deltas, so the fuzzer starts next to the wide-address sentinel.
+	edges := deltaEdgeInsts(2 * len(deltaEdges))
+	f.Add(encodeTrace(f, Header{Benchmark: "fuzz-deltas", Insts: int64(len(edges))}, edges), uint16(5))
 
 	path := filepath.Join(f.TempDir(), "fuzz"+FileExt) // inputs run one at a time per process
 	f.Fuzz(func(t *testing.T, data []byte, stride uint16) {

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -163,11 +165,15 @@ func TestArenaEscapesExplicitBaseValue(t *testing.T) {
 		pos += len(w)
 	}
 	// One static per unescaped instruction (each has a PC of its own)
-	// plus the escapes' shared one, an op per instruction, an address per
-	// unescaped instruction plus the padding word, and each escape with
-	// its position.
+	// plus the escapes' shared one, each with its nextMem entry, plus the
+	// closing one. The first escape's static is numbered in order, so it
+	// continues the first run; each later one is a run of its own and
+	// starts another after it, then the terminating run. Each unescaped
+	// instruction's address is a first visit past 32 KiB: a sentinel
+	// delta and a wide word. Then each escape with its position.
 	n := int64(len(insts))
-	if want := (n-8+1)*(recordBytes+addrBytes) + n*opBytes + 8*(instBytes+opBytes); a.ResidentBytes() != want {
+	statics := n - 8 + 1
+	if want := statics*recordBytes + (statics+1)*nextMemBytes + (1+2*7+1)*runBytes + (n-8)*(deltaBytes+wideBytes) + 8*escBytes; a.ResidentBytes() != want {
 		t.Fatalf("ResidentBytes %d, want %d", a.ResidentBytes(), want)
 	}
 }
@@ -185,7 +191,7 @@ func TestArenaResidentBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := min(i+1, 2) // the third load evicts the first
-		if want := int64(files) * (100*24 + 100*4 + 101*8); a.ResidentBytes() != want {
+		if want := int64(files) * (100*24 + 101*4 + 2*8 + 100*2 + 100*8); a.ResidentBytes() != want {
 			t.Fatalf("after %d loads: ResidentBytes %d, want %d", i+1, a.ResidentBytes(), want)
 		}
 	}
@@ -282,6 +288,175 @@ func TestMemSourceSharedStatics(t *testing.T) {
 			if src.Window() != nil {
 				t.Fatalf("%s, stride %d: window after the last record", name, stride)
 			}
+		}
+	}
+}
+
+// deltaEdges are the steps the edge load of deltaEdgeInsts takes, one an
+// iteration, from a first visit at 2^64 - 8: every edge of the 2-byte
+// delta range (-32768 is the sentinel itself and must go wide), and
+// steps that wrap past 2^64 and back. They sum to 0, so each pass over
+// them starts from the same address.
+var deltaEdges = []int64{0, 1, -1, 32767, -32767, -32768, 32768, -32769, 32769, 16, -16}
+
+// deltaEdgeInsts returns iters iterations of a loop whose memory statics
+// cover the address deltas' edges. Each iteration runs an ALU op, then:
+//   - edge, a load stepping through deltaEdges;
+//   - low, a load whose first visit, at 0x40, is a narrow delta from 0;
+//   - stack, a load walking down from near the top of the stack;
+//   - heap, a store walking up through the heap, interleaved with stack;
+//   - hop, a load alternating between the stack and the heap, so every
+//     visit is wide;
+//
+// and ends with a taken branch back. Each address keeps the Addr - Offset
+// invariant, so nothing escapes.
+func deltaEdgeInsts(iters int) []Inst {
+	const pc = 0x4000
+	mem := func(i int, kind isa.Kind, off int32, addr uint64) Inst {
+		return Inst{PC: pc + uint64(i)*isa.InstBytes, Kind: kind, Dst: 5, Src1: 6, Addr: addr, BaseValue: addr - uint64(int64(off)), Offset: off}
+	}
+	edge := uint64(1<<64 - 8)
+	var insts []Inst
+	for it := range iters {
+		edge += uint64(deltaEdges[it%len(deltaEdges)])
+		hop := uint64(0x7fff_ffff_e000)
+		if it%2 == 1 {
+			hop = 0x1000_8000
+		}
+		insts = append(insts,
+			Inst{PC: pc, Kind: isa.KindIntALU, Dst: 1, Src1: 2, Src2: 3},
+			mem(1, isa.KindLoad, 8, edge),
+			mem(2, isa.KindLoad, 0, 0x40+8*uint64(it)),
+			mem(3, isa.KindLoad, -16, 0x7fff_ffff_f000-16*uint64(it)),
+			mem(4, isa.KindStore, 24, 0x1000_0000+64*uint64(it)),
+			mem(5, isa.KindLoad, 4, hop),
+			Inst{PC: pc + 6*isa.InstBytes, Kind: isa.KindBranch, Taken: true, Target: pc},
+		)
+	}
+	return insts
+}
+
+// TestMemSourceAddressDeltas replays deltaEdgeInsts through both table
+// builders. The table must hold exactly the deltas and wide words an
+// independent reading of the stream gives: each memory instruction's
+// Addr minus its static's previous one (0 before the first), wide unless
+// it lies in -32767..32767. Replay must give back every instruction
+// through Next, and through Window/Advance in every stride from 1 to
+// past two expansion runs, each pass after a Reset in the middle of a
+// window that has already moved the statics' latest addresses.
+func TestMemSourceAddressDeltas(t *testing.T) {
+	insts := deltaEdgeInsts(3*len(deltaEdges) + 2*expandRun/7)
+	n := len(insts)
+	var wantDeltas []int16
+	var wantWide []uint64
+	prev := map[uint64]uint64{} // each memory static has a PC of its own
+	for _, in := range insts {
+		if !in.Kind.IsMem() {
+			continue
+		}
+		d := int64(in.Addr - prev[in.PC])
+		prev[in.PC] = in.Addr
+		if d < -32767 || d > 32767 {
+			wantDeltas, wantWide = append(wantDeltas, math.MinInt16), append(wantWide, in.Addr)
+		} else {
+			wantDeltas = append(wantDeltas, int16(d))
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "deltas.wct")
+	writeTrace(t, path, Header{Insts: int64(n)}, insts)
+	loaded, err := NewArena(0).Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]*MemSource{"arena": loaded, "NewMemSource": NewMemSource(insts, Header{})} {
+		if len(src.t.esc) != 0 || !slices.Equal(src.t.deltas, wantDeltas) || !slices.Equal(src.t.wide, wantWide) {
+			t.Fatalf("%s: %d escapes, deltas %v, wide %#x; want no escapes, deltas %v, wide %#x",
+				name, len(src.t.esc), src.t.deltas, src.t.wide, wantDeltas, wantWide)
+		}
+		var in Inst
+		for i := range insts {
+			if !src.Next(&in) || in != insts[i] {
+				t.Fatalf("%s: Next %d: got %+v, want %+v", name, i, in, insts[i])
+			}
+		}
+		if src.Next(&in) {
+			t.Fatalf("%s: drained source still yields instructions", name)
+		}
+		for stride := 1; stride <= 2*expandRun+5; stride++ {
+			// Part of a pass first, ending inside a window, then Reset.
+			src.Reset()
+			for part := stride * 7 % n; part > 0; {
+				k := min(len(src.Window()), stride, part)
+				src.Advance(k)
+				part -= k
+			}
+			src.Reset()
+			for pos := 0; pos < n; {
+				w := src.Window()
+				k := min(len(w), stride)
+				if k == 0 {
+					t.Fatalf("%s, stride %d: window empty at %d of %d", name, stride, pos, n)
+				}
+				for j := range w[:k] {
+					if w[j] != insts[pos+j] {
+						t.Fatalf("%s, stride %d, record %d: got %+v, want %+v", name, stride, pos+j, w[j], insts[pos+j])
+					}
+				}
+				src.Advance(k)
+				pos += k
+			}
+			if src.Window() != nil {
+				t.Fatalf("%s, stride %d: window after the last record", name, stride)
+			}
+		}
+	}
+}
+
+// TestArenaWorstCaseBytes pins what the two worst cases of the resident
+// form cost. Random addresses defeat the deltas: each costs a sentinel
+// delta and a wide word, 10 bytes against 8 for a whole address. And a
+// stream that never continues a run, here a branch to itself, costs a
+// run, 8 bytes, per instruction.
+func TestArenaWorstCaseBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const body, iters = 64, 20
+	var random []Inst
+	for range iters {
+		for i := range body {
+			addr := rng.Uint64()
+			random = append(random, Inst{PC: 0x1000 + uint64(i)*isa.InstBytes, Kind: isa.KindLoad, Addr: addr, BaseValue: addr})
+		}
+	}
+	self := make([]Inst, 1000)
+	for i := range self {
+		self[i] = Inst{PC: 0x2000, Kind: isa.KindBranch, Taken: true, Target: 0x2000}
+	}
+	for _, c := range []struct {
+		name  string
+		insts []Inst
+		want  int64
+	}{
+		// The body's statics and their nextMem entries, one run per
+		// iteration and the terminating run, and a sentinel delta and a
+		// wide word per load.
+		{"random addresses", random, body*recordBytes + (body+1)*nextMemBytes + (iters+1)*runBytes + body*iters*(deltaBytes+wideBytes)},
+		// One static and its nextMem entries, and a run per instruction
+		// and the terminating run.
+		{"no runs", self, recordBytes + 2*nextMemBytes + (1000+1)*runBytes},
+	} {
+		path := filepath.Join(t.TempDir(), "worst.wct")
+		writeTrace(t, path, Header{Insts: int64(len(c.insts))}, c.insts)
+		a := NewArena(0)
+		src, err := a.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.ResidentBytes(); got != c.want {
+			t.Errorf("%s: ResidentBytes %d (%.2f B/inst), want %d", c.name, got, float64(got)/float64(len(c.insts)), c.want)
+		}
+		if got := drain(src); !slices.Equal(got, c.insts) {
+			t.Errorf("%s: replay differs from the stream", c.name)
 		}
 	}
 }

@@ -12,9 +12,9 @@
 // sweeps replay recorded workloads byte-identically without re-walking
 // the generators. Hot replay paths go through the process-wide Arena
 // (arena.go), which decodes each capture once into a shared
-// static-instruction table (packed.go) — its distinct instructions, a
-// 4-byte index per dynamic instruction and the memory addresses — and
-// replays it by index (MemSource), expanding one fetch window of
+// static-instruction table (packed.go) — its distinct instructions, the
+// runs of consecutive statics its stream forms and a 2-byte delta per
+// memory address — and replays it by index (MemSource), expanding one fetch window of
 // instructions at a time, so an N-config sweep pays one decode per file
 // instead of one per simulation.
 package trace
