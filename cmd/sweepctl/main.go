@@ -13,14 +13,13 @@
 // deterministic contiguous spans (sweep.SpanOf; default one per host),
 // each submitted as a span job to a host. Work is elastic from there: a
 // host that dies mid-run has its span requeued to a survivor (up to
-// -retries submissions per span of work), a host that stalls for -stall
-// without progress has its finished prefix stolen through the partial
-// export watermark and only the remainder re-run, and in the tail idle
-// hosts speculatively duplicate stalled spans outright — determinism
-// makes the duplicate free, because both copies produce identical bytes
-// and the first full export wins. Every control request runs under one
-// retry policy with capped exponential backoff and deterministic seeded
-// jitter.
+// -retries submissions per span of work), and a span that stalls for
+// -stall without progress is rescued by an idle host: it banks the
+// span's finished prefix through the partial export watermark and runs
+// the remainder as a duplicate. Determinism makes the duplicate free,
+// because both copies produce identical bytes and the first full export
+// wins. Every control request runs under one retry policy with capped
+// exponential backoff and deterministic seeded jitter.
 //
 // Membership is elastic too: -hosts-file names a file of host URLs (one
 // per line, #-comments) that is read at startup and watched for changes.
@@ -85,8 +84,7 @@ func run() error {
 	retries := flag.Int("retries", 3, "max submissions per span of work across host reassignments")
 	poll := flag.Duration("poll", 250*time.Millisecond, "per-span status poll interval (also the hosts-file watch tick)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline for host control requests (a hanging host fails over like a dead one; exports get 10x)")
-	stall := flag.Duration("stall", 10*time.Second, "how long a span may go without progress before idle hosts steal its finished prefix or speculate a duplicate")
-	noSpec := flag.Bool("no-speculate", false, "disable tail speculation (stealing still happens)")
+	stall := flag.Duration("stall", 10*time.Second, "how long a span may go without progress before an idle host rescues it: banks its finished prefix and duplicates the rest")
 	seed := flag.Uint64("seed", 0, "seed for the deterministic retry/backoff jitter (default: derived from the run name)")
 	name := flag.String("name", "", "run identity for remote job names (default: derived from the grid)")
 	storeDir := flag.String("store", "", "directory of a local on-disk result store to bulk-ingest span results into")
@@ -122,7 +120,6 @@ func run() error {
 		PollInterval:   *poll,
 		RequestTimeout: *timeout,
 		StallAfter:     *stall,
-		NoSpeculate:    *noSpec,
 		Seed:           *seed,
 		Name:           *name,
 		Token:          authToken,

@@ -2,7 +2,7 @@ package coord
 
 // Chaos tests for the elastic coordinator: seeded fault injection
 // (drops, truncated responses, 5xx bursts, latency spikes, frozen
-// hosts), work stealing from stragglers, tail speculation, and mid-run
+// hosts), rescues of stragglers and frozen hosts, and mid-run
 // membership changes through the hosts file. Every test's acceptance
 // bar is the same as the clean-path tests': the merged output must be
 // byte-identical to a single-host run of the same grid.
@@ -29,7 +29,7 @@ import (
 
 // canonicalEntries computes the exact export entries a real waycached
 // host would serve for configs [lo, hi) of the normalized grid — what a
-// scripted stub host hands a stealing coordinator.
+// scripted stub host hands a rescuing coordinator.
 func canonicalEntries(t *testing.T, g sweep.Grid, lo, hi int) []server.ExportEntry {
 	t.Helper()
 	eng := sweep.New(sweep.Options{Workers: 2})
@@ -54,7 +54,7 @@ func canonicalEntries(t *testing.T, g sweep.Grid, lo, hi int) []server.ExportEnt
 // straggler: it accepts exactly one span submission, then reports the
 // job running forever with a watermark frozen at wm finished configs.
 // Its partial export serves real canonical payloads (computed locally),
-// so a steal banks bytes indistinguishable from a live host's. Further
+// so a rescue banks bytes indistinguishable from a live host's. Further
 // submissions are refused — the host is "too wedged to take more work".
 type stubStraggler struct {
 	t  *testing.T
@@ -193,8 +193,8 @@ func TestChaosFaultsStillByteIdentical(t *testing.T) {
 // TestStealsFromStraggler is the straggler acceptance test: a host that
 // finishes part of its span and then wedges (watermark frozen, job
 // running forever) must not gate the sweep on its full shard. An idle
-// host steals the finished prefix through the partial export, the
-// remainder is requeued, and the merge is still byte-identical.
+// host banks the finished prefix through the partial export and flies
+// the remainder itself, and the merge is still byte-identical.
 func TestStealsFromStraggler(t *testing.T) {
 	g := testGrid()
 	ng, err := g.Normalize()
@@ -213,7 +213,6 @@ func TestStealsFromStraggler(t *testing.T) {
 		StallAfter:     300 * time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 		Retry:          RetryPolicy{MaxAttempts: 2, BaseDelay: 30 * time.Millisecond},
-		NoSpeculate:    true,
 		MaxAttempts:    3,
 		Name:           "t-steal",
 		Logf:           t.Logf,
@@ -261,9 +260,8 @@ func TestStealsFromStraggler(t *testing.T) {
 }
 
 // TestSpeculationRescuesFrozenHost: a host that freezes solid right
-// after accepting a span (no watermark, nothing to steal) is rescued by
-// tail speculation — an idle host duplicates the span outright and its
-// full export wins.
+// after accepting a span (no watermark, nothing to bank) is rescued by
+// an idle host that duplicates the span outright; its full export wins.
 func TestSpeculationRescuesFrozenHost(t *testing.T) {
 	g := testGrid()
 	srvA := server.New(server.Options{Workers: 2})

@@ -8,7 +8,7 @@
 //
 //   - A *unit* is a contiguous config-index span [lo, hi) waiting to
 //     run. The initial units are the sweep.SpanOf partition of the grid;
-//     failures and steals re-split them into smaller spans.
+//     failures re-split them into smaller spans.
 //   - A *flight* is one attempt to run a unit as a named span job
 //     ({"span": "lo-hi"}) on one host, tracked to a terminal state over
 //     the host's SSE events stream with a poll fallback.
@@ -16,18 +16,18 @@
 //     core.EncodeResult payloads covering [lo, hi). Pieces tile the full
 //     grid exactly once; the merge sorts them by lo and concatenates.
 //
-// Elasticity comes from three mechanisms on top of that model. A host
-// whose flight stalls (no progress for StallAfter) can be *stolen* from:
-// an idle worker exports the victim job's finished prefix — the server's
-// partial-progress watermark guarantees the prefix is complete and
-// canonical — banks it as a piece, cancels the victim, and requeues the
-// remainder span. In the tail, when the queue is empty, idle hosts
-// *speculate*: they duplicate a stalled in-flight span outright; the
-// first full export wins and the loser is cancelled, which determinism
-// makes free — both copies would produce identical bytes. And membership
-// is *elastic*: a HostsFile is watched for changes, added hosts receive
-// the grid's traces and a worker mid-run, removed hosts drain (finish
-// their current flight, take no more).
+// Elasticity comes from two mechanisms on top of that model. A flight
+// that stalls (no progress for StallAfter) is *rescued* by an idle worker
+// once the queue is empty: when the victim has finished configs, the
+// rescuer exports its finished prefix — the server's partial-progress
+// watermark guarantees the prefix is complete and canonical — and banks
+// it as a piece; then it flies the part of the victim's span nothing
+// covers as a duplicate flight of its own. The victim keeps running:
+// whichever of the two lands second is cancelled, which determinism makes
+// free — both would produce identical bytes. And membership is
+// *elastic*: a HostsFile is watched for changes, added hosts receive the
+// grid's traces and a worker mid-run, removed hosts drain (finish their
+// current flight, take no more).
 //
 // Every request — submit, poll, export, trace distribution — runs under
 // one RetryPolicy: capped exponential backoff with deterministic seeded
@@ -36,7 +36,7 @@
 //
 // Determinism contract: Grid.Configs order depends only on the grid;
 // spans are contiguous index ranges of that order, so pieces concatenate
-// to the full expansion no matter how they were split, stolen, or
+// to the full expansion no matter how they were split, rescued, or
 // duplicated; records are pure functions of results. Therefore merge
 // order — and the merged bytes — cannot depend on which host ran what,
 // how spans were re-split, or which duplicate won. Protocol and failure
@@ -54,6 +54,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,8 +81,8 @@ type Options struct {
 	HostsFile string
 	// Shards is how many contiguous spans the grid is initially split
 	// into (default: the host count). More spans than hosts gives the
-	// scheduler finer-grained units; stealing re-splits them further as
-	// needed either way.
+	// scheduler finer-grained units; failures and rescues re-split them
+	// further as needed either way.
 	Shards int
 	// Client issues every request (default: a plain http.Client; each
 	// request is additionally bounded by RequestTimeout).
@@ -106,13 +107,11 @@ type Options struct {
 	// run name). Two runs with the same seed back off on the same
 	// schedule — what makes chaos tests reproducible.
 	Seed uint64
-	// StallAfter is how long a flight may go without progress before
-	// idle workers may steal its remainder or speculate a duplicate
-	// (default 10s). Raise it for grids with slow individual configs;
-	// lower it in tests.
+	// StallAfter is how long a flight may go without progress before an
+	// idle worker rescues it — banks its finished prefix and duplicates
+	// the rest (default 10s). Raise it for grids with slow individual
+	// configs; lower it in tests.
 	StallAfter time.Duration
-	// NoSpeculate disables tail speculation (stealing still happens).
-	NoSpeculate bool
 	// Backend, when non-nil, receives every remotely-computed result in
 	// canonical encoded form (sweep.PutEncoded) as pieces are merged —
 	// pass a resultdb.DB to build one local corpus from a distributed
@@ -130,7 +129,7 @@ type Options struct {
 	// counts across all flights and banked pieces. Calls are serialized.
 	Progress sweep.Progress
 	// Logf, when non-nil, receives coordinator events: span assignments,
-	// host failures, steals, speculations, membership changes.
+	// host failures, rescues, membership changes.
 	Logf func(format string, args ...any)
 	// Name tags the run's jobs ("<name>-u<lo>-<hi>") so operators can
 	// read host job lists, and so resubmissions after a lost response
@@ -145,7 +144,7 @@ type Options struct {
 
 // ShardReport is one piece's provenance in the merged output: which span
 // of the grid it covers, which host ran it, under which job, at which
-// attempt, and whether stealing or speculation was involved. Reports are
+// attempt, and whether a rescue was involved. Reports are
 // in merge (span) order and tile [0, grid size) exactly.
 type ShardReport struct {
 	Index    int    // merge position
@@ -154,8 +153,8 @@ type ShardReport struct {
 	JobID    string // job id on that host
 	Configs  int    // configurations in the piece (Hi - Lo)
 	Attempts int    // submissions this span of work needed (1 = clean)
-	// Stolen marks a straggler's finished prefix banked by a steal;
-	// Speculative marks a piece won by a tail duplicate.
+	// Stolen marks a straggler's finished prefix banked by a rescue;
+	// Speculative marks a piece won by a rescue flight.
 	Stolen      bool
 	Speculative bool
 	// TraceFallbacks relays the remote engine's walker-fallback report
@@ -176,8 +175,8 @@ type HostReport struct {
 	Pieces       int    // pieces banked from this host
 	Configs      int    // configurations those pieces hold
 	Flights      int    // span jobs launched on this host
-	Steals       int    // steals this host performed on stragglers
-	Speculations int    // speculative duplicates this host launched
+	Steals       int    // stragglers' finished prefixes this host banked
+	Speculations int    // rescue flights this host launched
 }
 
 // Result is a completed distributed run.
@@ -202,9 +201,9 @@ type jobFailedError struct{ msg string }
 
 func (e *jobFailedError) Error() string { return e.msg }
 
-// errSuperseded marks a flight that ended "cancelled" because the
-// coordinator itself stole or out-speculated it — expected, not a fault.
-var errSuperseded = errors.New("flight superseded by a steal or duplicate")
+// errSuperseded marks a flight the coordinator itself abandoned because
+// pieces already cover its span — expected, not a fault.
+var errSuperseded = errors.New("flight superseded by a duplicate")
 
 // Host lifecycle states.
 const (
@@ -281,8 +280,7 @@ func Run(ctx context.Context, g sweep.Grid, o Options) (*Result, error) {
 		transport: &transport{client: client, token: o.Token,
 			reqTimeout: reqTimeout, retry: newRetrier(o.Retry, seed)},
 		grid: g, name: name, total: total,
-		poll: poll, stall: stall,
-		maxAttempts: maxAttempts, speculate: !o.NoSpeculate,
+		poll: poll, stall: stall, maxAttempts: maxAttempts,
 		dist: dist, progress: o.Progress, logf: logf, cancel: cancel,
 		wake:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -410,16 +408,13 @@ type flight struct {
 	host   string
 	jobID  string // set once the submit succeeds
 	unit   *unit
-	spec   bool // speculative duplicate of another live flight
+	spec   bool // a rescue flight, duplicating part of a stalled one
 
-	start        time.Time
 	lastProgress time.Time // last time done advanced; stall detector input
 	done         int       // configs finished, from status events
 
-	stealing   bool // a thief is currently probing/banking this flight
-	noSteal    bool // a steal attempt failed; don't retry stealing it
-	stolen     bool // its prefix was banked and the job cancelled
-	superseded bool // a duplicate's full export already covered its span
+	rescuing   bool // a rescuer is probing this flight's finished prefix
+	superseded bool // pieces already cover its span; it is being abandoned
 }
 
 // piece is a completed, banked span of canonical results.
@@ -459,7 +454,6 @@ type run struct {
 
 	poll, stall time.Duration
 	maxAttempts int
-	speculate   bool
 
 	dist     distributor
 	progress sweep.Progress
@@ -537,7 +531,7 @@ func (c *run) noteProgress(f *flight, done int) {
 			sum += fl.done
 		}
 		if sum > c.total {
-			sum = c.total // speculative duplicates double-count; clamp
+			sum = c.total // a rescued span counts twice; clamp
 		}
 		c.progress(sum, c.total)
 	}
@@ -553,28 +547,21 @@ func (c *run) noteWarning(lo, hi int, format string, args ...any) {
 	c.mu.Unlock()
 }
 
-// uncoveredLocked returns the maximal subranges of [lo, hi) not yet
-// covered by banked pieces, in order.
-func (c *run) uncoveredLocked(lo, hi int) [][2]int {
-	// Collect covering intervals, merge, subtract. Piece counts are small
-	// (a few per host), so the quadratic-ish scan is irrelevant.
-	var cov [][2]int
-	for i := range c.pieces {
-		p := &c.pieces[i]
-		if p.hi > lo && p.lo < hi {
-			cov = append(cov, [2]int{max(p.lo, lo), min(p.hi, hi)})
-		}
-	}
-	sort.Slice(cov, func(i, j int) bool { return cov[i][0] < cov[j][0] })
+// gaps returns the maximal subranges of [lo, hi) that no interval of
+// cover touches, in order. Intervals may overlap, nest, or lie partly or
+// wholly outside [lo, hi); cover is sorted in place.
+func gaps(lo, hi int, cover [][2]int) [][2]int {
+	sort.Slice(cover, func(i, j int) bool { return cover[i][0] < cover[j][0] })
 	var out [][2]int
 	at := lo
-	for _, iv := range cov {
+	for _, iv := range cover {
+		if iv[1] <= lo || iv[0] >= hi {
+			continue // outside [lo, hi): its ends would invent a gap
+		}
 		if iv[0] > at {
 			out = append(out, [2]int{at, iv[0]})
 		}
-		if iv[1] > at {
-			at = iv[1]
-		}
+		at = max(at, iv[1])
 	}
 	if at < hi {
 		out = append(out, [2]int{at, hi})
@@ -582,8 +569,37 @@ func (c *run) uncoveredLocked(lo, hi int) [][2]int {
 	return out
 }
 
+// bankedLocked returns the spans of the banked pieces. Piece counts are small
+// (a few per host), so callers rescan them freely.
+func (c *run) bankedLocked() [][2]int {
+	cover := make([][2]int, 0, len(c.pieces)+len(c.flights))
+	for _, p := range c.pieces {
+		cover = append(cover, [2]int{p.lo, p.hi})
+	}
+	return cover
+}
+
+// uncoveredLocked returns the maximal subranges of [lo, hi) not yet
+// covered by banked pieces, in order.
+func (c *run) uncoveredLocked(lo, hi int) [][2]int {
+	return gaps(lo, hi, c.bankedLocked())
+}
+
+// unflownLocked returns the maximal subranges of [lo, hi) that neither a
+// banked piece nor a live flight other than except covers, in order. A
+// superseded flight is being abandoned and covers nothing.
+func (c *run) unflownLocked(lo, hi int, except *flight) [][2]int {
+	cover := c.bankedLocked()
+	for _, f := range c.flights {
+		if f != except && !f.superseded {
+			cover = append(cover, [2]int{f.lo, f.hi})
+		}
+	}
+	return gaps(lo, hi, cover)
+}
+
 // bankLocked commits a completed span's output, trimmed to whatever is
-// not already covered (a steal may have banked a prefix; a faster
+// not already covered (a rescue may have banked a prefix; a faster
 // duplicate may have banked everything). Returns configs newly covered.
 func (c *run) bankLocked(p piece) int {
 	added := 0
@@ -621,31 +637,18 @@ func (c *run) removeFlightLocked(f *flight) {
 
 // --- the scheduler ---
 
-type actionKind int
-
-const (
-	actDone actionKind = iota
-	actRun
-	actSteal
-)
-
-type action struct {
-	kind   actionKind
-	flight *flight // actRun
-	victim *flight // actSteal
-}
-
-// nextWork blocks until the worker for host has something to do: a
-// queued unit to fly, a straggler to steal from, a tail span to
-// speculate on, or nothing ever again (run over, host drained or
-// retired, fatal error). It is the single place scheduling policy lives.
-func (c *run) nextWork(ctx context.Context, host string) action {
+// nextWork blocks until the worker for host has something to fly — a
+// queued unit, or a rescue of a stalled flight — and returns it, or
+// returns nil when there is nothing ever again (run over, host drained
+// or retired, fatal error). It is the single place scheduling policy
+// lives.
+func (c *run) nextWork(ctx context.Context, host string) *flight {
 	for {
 		c.mu.Lock()
 		h := c.hosts[host]
 		if ctx.Err() != nil || c.fatal != nil || c.covered >= c.total || h.state != hostActive {
 			c.mu.Unlock()
-			return action{kind: actDone}
+			return nil
 		}
 		now := time.Now()
 
@@ -667,39 +670,24 @@ func (c *run) nextWork(ctx context.Context, host string) action {
 		if next != nil {
 			c.queue = append(c.queue[:nextIdx], c.queue[nextIdx+1:]...)
 			next.attempts++
-			f := &flight{
-				lo: next.lo, hi: next.hi, host: host, unit: next,
-				start: now, lastProgress: now,
-			}
+			f := &flight{lo: next.lo, hi: next.hi, host: host, unit: next, lastProgress: now}
 			c.flights = append(c.flights, f)
 			h.flights++
 			c.mu.Unlock()
-			return action{kind: actRun, flight: f}
+			return f
 		}
 
-		// 2. Steal a stalled flight's remainder.
-		if v := c.stealVictimLocked(host, now); v != nil {
-			v.stealing = true
-			h.steals++
+		// 2. Rescue a stalled flight. Only a victim with a job and a
+		// finished config is worth a probe: a host that has finished
+		// nothing is likely frozen solid and would not answer one.
+		if v := c.rescueVictimLocked(host, now); v != nil {
+			probe := v.jobID != "" && v.done >= 1
+			v.rescuing = probe
 			c.mu.Unlock()
-			return action{kind: actSteal, victim: v}
-		}
-
-		// 3. Speculate a duplicate of a stalled tail flight.
-		if c.speculate {
-			if v := c.specVictimLocked(host, now); v != nil {
-				f := &flight{
-					lo: v.lo, hi: v.hi, host: host, unit: v.unit, spec: true,
-					start: now, lastProgress: now,
-				}
-				c.flights = append(c.flights, f)
-				h.flights++
-				h.specs++
-				c.mu.Unlock()
-				c.logf("coord: speculating span %s on idle %s (duplicate of %s's flight)",
-					sweep.FormatSpan(f.lo, f.hi), host, v.host)
-				return action{kind: actRun, flight: f}
+			if f := c.rescue(ctx, host, v, probe); f != nil {
+				return f
 			}
+			continue
 		}
 
 		// Idle: wait for a state change, a backoff gate, or a re-scan
@@ -714,7 +702,7 @@ func (c *run) nextWork(ctx context.Context, host string) action {
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return action{kind: actDone}
+			return nil
 		case <-w:
 			t.Stop()
 		case <-t.C:
@@ -722,38 +710,15 @@ func (c *run) nextWork(ctx context.Context, host string) action {
 	}
 }
 
-// stalled reports whether a flight has gone StallAfter without progress.
-func (c *run) stalledLocked(f *flight, now time.Time) bool {
-	return now.Sub(f.lastProgress) >= c.stall
-}
-
-// duplicatedLocked reports whether another live flight covers f's span.
-func (c *run) duplicatedLocked(f *flight) bool {
-	for _, o := range c.flights {
-		if o != f && o.lo == f.lo && o.hi == f.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// stealVictimLocked picks the stalled flight most worth stealing from:
-// submitted, progressing nowhere, not already being stolen or hedged by
-// a duplicate, and not on the asking host. Oldest stall first.
-func (c *run) stealVictimLocked(host string, now time.Time) *flight {
+// rescueVictimLocked picks the stalled flight an idle worker on host
+// should rescue: not on host, not itself a rescue flight, not already
+// being probed or abandoned, and with part of its span that no banked
+// piece or other live flight covers. Oldest stall first.
+func (c *run) rescueVictimLocked(host string, now time.Time) *flight {
 	var best *flight
 	for _, f := range c.flights {
-		if f.host == host || f.jobID == "" || f.spec ||
-			f.stealing || f.noSteal || f.stolen || f.superseded {
-			continue
-		}
-		// A flight with no finished config has nothing worth banking —
-		// don't burn a probe on a host that is likely frozen solid;
-		// speculation handles it without touching the victim.
-		if f.done < 1 {
-			continue
-		}
-		if !c.stalledLocked(f, now) || c.duplicatedLocked(f) {
+		if f.host == host || f.spec || f.rescuing || f.superseded ||
+			now.Sub(f.lastProgress) < c.stall || len(c.unflownLocked(f.lo, f.hi, f)) == 0 {
 			continue
 		}
 		if best == nil || f.lastProgress.Before(best.lastProgress) {
@@ -763,39 +728,75 @@ func (c *run) stealVictimLocked(host string, now time.Time) *flight {
 	return best
 }
 
-// specVictimLocked picks a stalled primary flight to duplicate: the
-// queue is already known empty, so an idle worker's time is free — the
-// only gates are the stall threshold and not double-hedging a span.
-func (c *run) specVictimLocked(host string, now time.Time) *flight {
-	var best *flight
-	for _, f := range c.flights {
-		if f.host == host || f.spec || f.stolen || f.superseded || f.stealing {
-			continue
+// rescue rescues the stalled flight v for the idle worker on host. With
+// probe set it first banks v's finished prefix, as far as the job's
+// watermark vouches for it; a probe that finds the job terminal or fully
+// finished leaves v to its own worker. Then it returns a rescue flight
+// over the first part of v's span that nothing covers, or nil when
+// nothing is left. v is not cancelled here: whichever of v and the
+// rescue flight lands second is superseded, and land abandons it.
+func (c *run) rescue(ctx context.Context, host string, v *flight, probe bool) *flight {
+	var prefix *piece
+	if probe {
+		st, err := c.pollStatus(ctx, v.host, v.jobID)
+		w := st.Watermark
+		if err == nil && (st.Terminal() || w >= v.hi-v.lo) {
+			// Restart the stall clock so v is not probed again at once.
+			c.mu.Lock()
+			v.rescuing = false
+			v.lastProgress = time.Now()
+			c.mu.Unlock()
+			return nil
 		}
-		if !c.stalledLocked(f, now) || c.duplicatedLocked(f) {
-			continue
-		}
-		if best == nil || f.lastProgress.Before(best.lastProgress) {
-			best = f
+		if err == nil && w >= 1 {
+			out, err := c.exportJob(ctx, v.host, v.jobID, w)
+			if err == nil {
+				prefix = &piece{
+					lo: v.lo, hi: v.lo + w, entries: out.entries, results: out.results,
+					host: v.host, jobID: v.jobID, attempts: v.unit.attempts,
+					stolen: true, fallbacks: st.TraceFallbacks,
+				}
+			} else {
+				c.logf("coord: rescue of span %s from %s: prefix export failed: %v",
+					sweep.FormatSpan(v.lo, v.hi), v.host, err)
+			}
 		}
 	}
-	return best
+	c.mu.Lock()
+	v.rescuing = false
+	c.bumpLocked()
+	h := c.hosts[host]
+	banked := prefix != nil && c.bankLocked(*prefix) > 0
+	if banked {
+		h.steals++
+	}
+	var f *flight
+	// A v that failed meanwhile is gone: its worker requeued what nothing
+	// covers.
+	if rest := c.unflownLocked(v.lo, v.hi, v); len(rest) > 0 && slices.Contains(c.flights, v) {
+		f = &flight{lo: rest[0][0], hi: rest[0][1], host: host, unit: v.unit, spec: true, lastProgress: time.Now()}
+		c.flights = append(c.flights, f)
+		h.flights++
+		h.specs++
+	}
+	c.mu.Unlock()
+	if banked {
+		c.logf("coord: %s banked a %d-config prefix of span %s from stalled %s",
+			host, prefix.hi-prefix.lo, sweep.FormatSpan(v.lo, v.hi), v.host)
+	}
+	if f != nil {
+		c.logf("coord: %s rescuing span %s of stalled %s's flight %s",
+			host, sweep.FormatSpan(f.lo, f.hi), v.host, sweep.FormatSpan(v.lo, v.hi))
+	}
+	return f
 }
 
 // hostWorker runs one host's lifecycle: take work, fly it, land or
 // recover, until the run ends or the host leaves it.
 func (c *run) hostWorker(ctx context.Context, host string) {
 	defer c.workerExit(host)
-	for {
-		act := c.nextWork(ctx, host)
-		switch act.kind {
-		case actDone:
-			return
-		case actRun:
-			c.fly(ctx, act.flight)
-		case actSteal:
-			c.stealFrom(ctx, host, act.victim)
-		}
+	for f := c.nextWork(ctx, host); f != nil; f = c.nextWork(ctx, host) {
+		c.fly(ctx, f)
 	}
 }
 
@@ -862,7 +863,7 @@ func (c *run) land(f *flight, out flightOutput, fallbacks map[string]string) {
 	for _, o := range c.flights {
 		if o != f && len(c.uncoveredLocked(o.lo, o.hi)) == 0 && !o.superseded {
 			o.superseded = true
-			if o.jobID != "" {
+			if o.jobID != "" { // otherwise runFlight abandons it once its submit returns
 				rivals = append(rivals, o)
 			}
 		}
@@ -892,23 +893,10 @@ func (c *run) flightFailed(f *flight, err error) {
 	if h.state == hostActive {
 		h.state = hostRetired
 	}
-	missing := c.uncoveredLocked(f.lo, f.hi)
-	// Subtract spans another live flight is already running (a
-	// speculative duplicate outliving its failed primary, or vice
-	// versa): requeueing those would only manufacture duplicate work.
-	var requeue [][2]int
-	for _, iv := range missing {
-		flown := false
-		for _, o := range c.flights {
-			if o.lo <= iv[0] && o.hi >= iv[1] {
-				flown = true
-				break
-			}
-		}
-		if !flown {
-			requeue = append(requeue, iv)
-		}
-	}
+	// Spans another live flight is already running (a rescue flight
+	// outliving its failed victim, or vice versa) stay out: requeueing
+	// those would only manufacture duplicate work.
+	requeue := c.unflownLocked(f.lo, f.hi, f)
 	if len(requeue) > 0 && f.unit.attempts >= c.maxAttempts {
 		c.mu.Unlock()
 		c.fail(fmt.Errorf("coord: span %s failed %d times, last on %s: %w",
@@ -933,65 +921,6 @@ func (c *run) flightFailed(f *flight, err error) {
 				c.unitName(f.lo, f.hi), f.host, outcome)
 		}
 	}
-}
-
-// --- stealing ---
-
-// stealFrom attempts to bank the victim flight's finished prefix and
-// requeue its remainder. Failure is non-destructive: the victim keeps
-// flying, marked so no one retries the steal.
-func (c *run) stealFrom(ctx context.Context, thief string, v *flight) {
-	ok := c.trySteal(ctx, thief, v)
-	c.mu.Lock()
-	v.stealing = false
-	if !ok {
-		v.noSteal = true
-	}
-	c.bumpLocked()
-	c.mu.Unlock()
-}
-
-func (c *run) trySteal(ctx context.Context, thief string, v *flight) bool {
-	st, err := c.pollStatus(ctx, v.host, v.jobID)
-	if err != nil || st.State != "running" {
-		return false // dead or already terminal: the victim's worker handles it
-	}
-	w := st.Watermark
-	span := v.hi - v.lo
-	if w < 1 || w >= span {
-		return false // nothing worth banking, or the victim is about to finish
-	}
-	out, err := c.exportJob(ctx, v.host, v.jobID, w)
-	if err != nil {
-		c.logf("coord: steal of span %s from %s: prefix export failed: %v",
-			sweep.FormatSpan(v.lo, v.hi), v.host, err)
-		return false
-	}
-	c.mu.Lock()
-	if v.stolen || v.superseded {
-		c.mu.Unlock()
-		return false
-	}
-	v.stolen = true
-	c.bankLocked(piece{
-		lo: v.lo, hi: v.lo + w, entries: out.entries, results: out.results,
-		host: v.host, jobID: v.jobID, attempts: v.unit.attempts,
-		stolen: true, fallbacks: st.TraceFallbacks,
-	})
-	// The remainder re-enters the queue as a fresh unit carrying the
-	// victim's attempt count — the thief is awake and idle, so it is the
-	// likely taker, but any worker may claim it.
-	for _, iv := range c.uncoveredLocked(v.lo+w, v.hi) {
-		c.queue = append(c.queue, &unit{lo: iv[0], hi: iv[1], attempts: v.unit.attempts})
-	}
-	c.bumpLocked()
-	c.mu.Unlock()
-	c.logf("coord: %s stole span %s from stalled %s: banked %d-config prefix, requeued remainder %s",
-		thief, sweep.FormatSpan(v.lo, v.hi), v.host, w, sweep.FormatSpan(v.lo+w, v.hi))
-	if outcome, clean := c.abandon(v.host, v.jobID); !clean {
-		c.noteWarning(v.lo, v.hi, "stolen job %s on %s: %s", v.jobID, v.host, outcome)
-	}
-	return true
 }
 
 // --- membership ---
@@ -1129,8 +1058,8 @@ type flightOutput struct {
 // terminal state (events stream, then polling), export canonical
 // results, and (best-effort) evict the remote job. Any transport or
 // server failure is a host-level error; a remote "failed" state is a
-// *jobFailedError; a cancellation the coordinator itself caused (steal
-// or supersede) is errSuperseded.
+// *jobFailedError; a flight the coordinator itself superseded is
+// errSuperseded.
 func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[string]string, error) {
 	st, err := c.submit(ctx, f)
 	if err != nil {
@@ -1138,8 +1067,17 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 	}
 	c.mu.Lock()
 	f.jobID = st.ID
-	c.bumpLocked() // the flight is now stealable
+	superseded := f.superseded
+	c.bumpLocked() // the flight is now worth a prefix probe
 	c.mu.Unlock()
+	if superseded {
+		// land superseded it while the submit was in flight and, with no
+		// job ID to cancel, left the abandon to us.
+		if outcome, clean := c.abandon(f.host, st.ID); !clean {
+			c.noteWarning(f.lo, f.hi, "superseded job %s on %s: %s", st.ID, f.host, outcome)
+		}
+		return flightOutput{}, nil, errSuperseded
+	}
 
 	var out flightOutput
 	st, err = c.follow(ctx, f.host, st, true, c.poll, func(done int) { c.noteProgress(f, done) })
@@ -1157,7 +1095,7 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 		return flightOutput{}, nil, &jobFailedError{msg: st.Error}
 	case "cancelled":
 		c.mu.Lock()
-		benign := f.stolen || f.superseded
+		benign := f.superseded
 		c.mu.Unlock()
 		if benign {
 			return flightOutput{}, nil, errSuperseded
@@ -1272,10 +1210,9 @@ func (c *run) events(ctx context.Context, host, id string) (next func() (server.
 }
 
 // abandon best-effort cancels and evicts a job the coordinator is
-// walking away from — a failed flight, a stolen straggler, a superseded
-// duplicate, Ctrl-C. It uses its own short-lived context because the run
-// context may already be dead, and an abandoned job must still be
-// stopped: left alone it would keep grinding on the host with its export
+// walking away from — a failed flight, a superseded duplicate, Ctrl-C.
+// It uses its own short-lived context because the run context may
+// already be dead, and an abandoned job must still be stopped: left alone it would keep grinding on the host with its export
 // payloads pinned until eviction. The returned outcome says what
 // actually happened; clean is false when the job may still be running or
 // pinned, which callers surface as a ShardReport warning instead of
@@ -1367,7 +1304,7 @@ func (c *run) pollStatus(ctx context.Context, host, id string) (server.JobStatus
 // exportJob streams the job's canonical results and decodes every entry.
 // prefix < 0 exports the finished job whole; prefix >= 0 asks for the
 // first prefix entries of a (possibly still running) job — the partial
-// export behind stealing. The whole request retries under the policy: a
+// export behind a rescue. The whole request retries under the policy: a
 // truncated stream re-fetches from scratch, which canonical encoding
 // makes safe.
 func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (flightOutput, error) {

@@ -15,9 +15,6 @@ import (
 // consume SSE poll GET /api/v1/jobs/{id} instead — the payloads are the
 // identical JobStatus JSON.
 
-// defaultHeartbeat is the idle keep-alive interval for event streams.
-const defaultHeartbeat = 15 * time.Second
-
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -32,11 +29,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	heartbeat := s.opts.EventHeartbeat
-	if heartbeat <= 0 {
-		heartbeat = defaultHeartbeat
-	}
-	ticker := time.NewTicker(heartbeat)
+	ticker := time.NewTicker(s.eventHeartbeat)
 	defer ticker.Stop()
 
 	for {

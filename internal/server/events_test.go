@@ -79,7 +79,8 @@ func TestJobEventsStreamToDone(t *testing.T) {
 // TestJobEventsStreamCancelled: a watcher of a long job sees the
 // terminal "cancelled" event when someone cancels it, then EOF.
 func TestJobEventsStreamCancelled(t *testing.T) {
-	srv := New(Options{Workers: 2, EventHeartbeat: 20 * time.Millisecond})
+	srv := New(Options{Workers: 2})
+	srv.eventHeartbeat = 20 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 

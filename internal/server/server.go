@@ -94,9 +94,6 @@ type Options struct {
 	// as POST /api/v1/admin/compact (cmd/waycached passes its
 	// resultdb.DB). Nil — an in-memory store — refuses the endpoint.
 	Compactor Compactor
-	// EventHeartbeat overrides the SSE keep-alive interval (default 15s);
-	// tests shorten it.
-	EventHeartbeat time.Duration
 	// TraceDir, when non-empty, lets jobs replay captured traces (see
 	// sweep.Options.TraceDir). Benchmarks that fall back to the walker are
 	// reported per job (JobStatus.TraceFallbacks), never silently.
@@ -124,6 +121,9 @@ type Server struct {
 	mux     *http.ServeMux
 	budget  *sweep.Budget // shared simulation budget across all jobs
 	limiter *rateLimiter  // nil when RatePerSec == 0
+
+	// eventHeartbeat is the idle keep-alive interval for event streams.
+	eventHeartbeat time.Duration
 
 	// tokens holds the live bearer-token map (token -> client name),
 	// swapped atomically by SetAuthTokens so operators can rotate
@@ -159,6 +159,8 @@ func New(opts Options) *Server {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(map[string]*job),
+
+		eventHeartbeat: 15 * time.Second,
 	}
 	s.tokens.Store(&opts.AuthTokens)
 	if opts.RatePerSec > 0 {
