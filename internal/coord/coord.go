@@ -1084,7 +1084,22 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 	if err == nil && st.State == "done" {
 		out, err = c.exportJob(ctx, f.host, st.ID, -1)
 	}
+	// f had its job ID by now, so if land superseded it, land has
+	// abandoned the job already and a second abandon would only spend
+	// another budget on it.
+	c.mu.Lock()
+	superseded = f.superseded
+	c.mu.Unlock()
 	if err != nil {
+		if superseded {
+			// A 404 is the host answering after land evicted the job.
+			// Any other failure is the host's own, and fly retires it.
+			var hs *httpStatusError
+			if errors.As(err, &hs) && hs.status == http.StatusNotFound {
+				return flightOutput{}, nil, errSuperseded
+			}
+			return flightOutput{}, nil, err
+		}
 		if outcome, clean := c.abandon(f.host, st.ID); !clean {
 			c.noteWarning(f.lo, f.hi, "abandoned job %s on %s: %s", st.ID, f.host, outcome)
 		}
@@ -1094,10 +1109,7 @@ func (c *run) runFlight(ctx context.Context, f *flight) (flightOutput, map[strin
 	case "failed":
 		return flightOutput{}, nil, &jobFailedError{msg: st.Error}
 	case "cancelled":
-		c.mu.Lock()
-		benign := f.superseded
-		c.mu.Unlock()
-		if benign {
+		if superseded {
 			return flightOutput{}, nil, errSuperseded
 		}
 		// Someone else (an operator, a previous coordinator run's

@@ -11,8 +11,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"waycache/internal/core"
+	"waycache/internal/server"
 )
 
 func TestGaps(t *testing.T) {
@@ -143,5 +147,93 @@ func TestSupersededDuringSubmitIsAbandoned(t *testing.T) {
 	defer stub.mu.Unlock()
 	if stub.cancels == 0 {
 		t.Error("the superseded job was never cancelled")
+	}
+}
+
+// TestSupersededOnFrozenHostIsAbandonedOnce: land supersedes a flight
+// that already has its job ID and abandons that job itself. The host
+// stops serving the job as the cancel arrives, so the flight's own
+// follower fails next; it must not abandon the job a second time, which
+// would spend another abandon budget and warn twice. A frozen host (503)
+// is still retired, so its worker stops taking work; a host that answers
+// 404 only evicted the job, and stays active.
+func TestSupersededOnFrozenHostIsAbandonedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status int
+		state  string
+	}{
+		{"frozen", http.StatusServiceUnavailable, hostRetired},
+		{"evicted", http.StatusNotFound, hostActive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ng, err := testGrid().Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stub := &stubStraggler{t: t, g: ng} // its job runs until cancelled
+			victim := &flight{lo: 0, hi: 4, unit: &unit{lo: 0, hi: 4, attempts: 1}}
+			rival := &flight{lo: 0, hi: 4, unit: victim.unit, spec: true, host: "rival"}
+			var cancels atomic.Int32
+			var gone atomic.Bool
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/cancel") {
+					cancels.Add(1)
+					gone.Store(true)
+				}
+				if gone.Load() {
+					http.Error(w, tc.name, tc.status)
+					return
+				}
+				stub.ServeHTTP(w, r)
+			}))
+			t.Cleanup(ts.Close)
+			victim.host = ts.URL
+			c := &run{
+				transport: &transport{client: &http.Client{}, reqTimeout: time.Second,
+					retry: newRetrier(RetryPolicy{MaxAttempts: 1}, 1)},
+				// total exceeds the victim's span, so the run is not
+				// finished when the victim fails and fly routes the failure.
+				grid: ng, name: "t-superseded-" + tc.name, total: 8, poll: 10 * time.Millisecond,
+				logf: t.Logf, wake: make(chan struct{}), done: make(chan struct{}),
+				hosts: map[string]*hostState{
+					ts.URL:  {url: ts.URL, state: hostActive, workerLive: true},
+					"rival": {url: "rival", state: hostActive, workerLive: true},
+				},
+				flights: []*flight{victim, rival},
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			submitted := c.wake // runFlight bumps it once the job ID is set
+			flown := make(chan struct{})
+			go func() {
+				defer close(flown)
+				c.fly(ctx, victim)
+			}()
+			select {
+			case <-submitted:
+			case <-ctx.Done():
+				t.Fatal("the victim's job was never submitted")
+			}
+			c.land(rival, flightOutput{
+				entries: make([]server.ExportEntry, 4), results: make([]*core.Result, 4),
+			}, nil)
+			<-flown
+			if n := cancels.Load(); n != 1 {
+				t.Errorf("the superseded job was cancelled %d times, want once", n)
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if len(c.warnings) != 1 {
+				t.Errorf("warnings %+v, want exactly one for the superseded job", c.warnings)
+			}
+			if got := c.hosts[ts.URL].state; got != tc.state {
+				t.Errorf("victim host is %s, want %s", got, tc.state)
+			}
+			if len(c.queue) != 0 || len(c.flights) != 0 {
+				t.Errorf("queue %v, flights %v: a covered span must leave nothing behind", c.queue, c.flights)
+			}
+		})
 	}
 }

@@ -36,6 +36,18 @@
 // tracked on faith: it is exactly the log size minus the header and the
 // live records' sizes, so accounting can never drift from the file.
 //
+// # Scanning
+//
+// Scan hands every stored result to a callback in log order, which is
+// how a query corpus is filled. It snapshots the keys, then reads them
+// under the lock in chunks of consecutive keys of at most 256 KiB of
+// payload. Chunks are decoded on GOMAXPROCS workers while the callback
+// consumes earlier ones on the caller's goroutine, and at most workers+2 chunks are in flight, so the
+// memory a scan holds does not grow with the store. Every chunk looks its
+// keys up afresh, so Put, Delete and Compact may run during a scan: a key
+// deleted since the snapshot is skipped, and a compaction between chunks
+// never serves stale offsets.
+//
 // # Crash safety
 //
 // Every Put appends one record and the log is never rewritten, so a crash
@@ -543,24 +555,6 @@ func (db *DB) Keys() []string {
 	out := make([]string, len(db.keys))
 	copy(out, db.keys)
 	return out
-}
-
-// Scan decodes every stored result in log order and calls fn for each; a
-// non-nil return from fn stops the scan and is returned.
-func (db *DB) Scan(fn func(key string, res *core.Result) error) error {
-	for _, key := range db.Keys() {
-		res, found, err := db.Get(key)
-		if err != nil {
-			return err
-		}
-		if !found {
-			continue // unreachable: keys come from the index
-		}
-		if err := fn(key, res); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sync flushes the log to stable storage.

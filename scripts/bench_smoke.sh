@@ -1,6 +1,7 @@
 #!/bin/sh
 # Bench smoke: one iteration of every top-level benchmark, of the trace
-# decode benchmarks and of the core benchmarks with -benchmem, proving the
+# decode benchmarks and of the core benchmarks with -benchmem, and of the
+# corpus-fill benchmark at one and two CPUs, proving the
 # harness runs end to end and the custom metrics (ed_*, accuracies,
 # ns/inst) keep computing — plus a perf regression tripwire on the
 # headline pipeline benchmark.
@@ -22,6 +23,9 @@ go test -bench . -benchtime=1x -benchmem -run '^$' . | tee "$out"
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/trace
 # core.Run replaying each suite stream under every d-cache policy (ns/inst).
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/core
+# A cold query-corpus fill, at one CPU (the result store's serial scan)
+# and at two (its parallel decode).
+go test -run '^$' -bench StoreRecords -benchtime=1x -cpu 1,2 ./internal/sweep
 
 t5=$(awk '/^BenchmarkTable5/ {print $3; exit}' "$out")
 if [ -z "$t5" ]; then
