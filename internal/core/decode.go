@@ -1,27 +1,31 @@
 package core
 
-// Result decoding: a one-pass reader over the JSON that EncodeResult
+// Result decoding: a positional reader of exactly the bytes EncodeResult
 // writes. Every stored result is decoded whenever a corpus is rebuilt from
 // the store, so decoding is the bulk of a server's cold start; the reader
 // decodes a canonical payload without reflection, allocating only the
 // Result and its strings.
 //
-// The reader's semantics are encoding/json's, not a dialect of them. It
-// accepts only input it can decode exactly as json.Unmarshal into a Result
-// would, and it stops at the first byte it cannot vouch for: a syntax
-// error, a value of the wrong type, a number out of range, an escaped or
-// invalid-UTF-8 string, a key that matches a field only case-insensitively.
-// DecodeResult then hands the whole payload to encoding/json, which
-// decides. Canonical payloads never take that path (TestDecodeResultAllocs
-// would count its allocations), and FuzzDecodeResult checks the two
-// decoders against each other.
+// json.Marshal writes every field of Result, in declaration order, with
+// no whitespace, so a canonical payload is one fixed sequence of keys.
+// Each per-struct function below is that sequence for its struct, and
+// each value reader first consumes the literal text before its value: the
+// brace or comma, the key and the colon. The reader accepts a payload
+// only if it matches that sequence to the last byte and every value in it
+// decodes exactly as json.Unmarshal would decode it: numbers follow the
+// JSON grammar and fit their field, strings hold no escape or control
+// character and are valid UTF-8, and policies pass their own
+// UnmarshalJSON. At the first byte that differs, DecodeResult hands the
+// whole payload to encoding/json. So does a record from an older or newer
+// waycache, whose fields differ, or one holding an escaped string: they
+// decode as before, only slower. TestDecodeResultAllocs would count the
+// allocations of a canonical payload that fell back, and FuzzDecodeResult
+// checks the two decoders against each other.
 
 import (
 	"encoding/json"
 	"math"
-	"reflect"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"waycache/internal/access"
@@ -31,59 +35,23 @@ import (
 	"waycache/internal/wattch"
 )
 
-// maxSkipDepth bounds the nesting the reader follows inside a value it
-// skips. encoding/json rejects input nested more than 10,000 levels deep;
-// staying far below that keeps every input the reader accepts one json
-// accepts too, and deeper input is left to json.
-const maxSkipDepth = 1000
-
-// resultFieldNames lists the JSON-visible field names of Result and of
-// every struct inside it. encoding/json matches an object key to a field
-// case-insensitively (under Unicode folding) when no name matches exactly,
-// so a key the reader does not know but that folds to any of these is
-// left to json.
-var resultFieldNames = fieldNames(reflect.TypeOf(Result{}), nil)
-
-func fieldNames(t reflect.Type, names []string) []string {
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() || f.Tag.Get("json") == "-" {
-			continue
-		}
-		names = append(names, f.Name)
-		ft := f.Type
-		for ft.Kind() == reflect.Array {
-			ft = ft.Elem()
-		}
-		if ft.Kind() == reflect.Struct {
-			names = fieldNames(ft, names)
-		}
-	}
-	return names
-}
-
-// decoder reads one Result. Its methods decode one value each in place,
-// as encoding/json does: null leaves the destination unchanged, a repeated
-// key decodes again into the same destination, and an unknown key's value
-// is skipped.
+// decoder reads one canonical Result.
 type decoder struct {
 	data []byte
 	pos  int
-	// ok is cleared at the first input the reader cannot decode exactly as
-	// encoding/json would; fail also moves pos to the end, so every later
-	// read stops at once.
+	// ok is cleared at the first byte that is not canonical; fail also
+	// moves pos to the end, so every later read stops at once.
 	ok bool
 	// last is the most recently decoded string. Result.Benchmark and
 	// Config.Benchmark hold the same name, so the second reuses the first.
 	last string
 }
 
-// decodeResult decodes data into r and reports whether it could vouch for
-// the result. On false, r holds partial data.
+// decodeResult decodes data into r and reports whether data was a
+// canonical payload. On false, r holds partial data.
 func decodeResult(data []byte, r *Result) bool {
 	d := decoder{data: data, ok: true}
 	d.result(r)
-	d.ws()
 	return d.ok && d.pos == len(d.data)
 }
 
@@ -92,197 +60,24 @@ func (d *decoder) fail() {
 	d.pos = len(d.data)
 }
 
-// ws skips JSON whitespace.
-func (d *decoder) ws() {
-	for d.pos < len(d.data) && isSpace[d.data[d.pos]] {
-		d.pos++
-	}
-}
-
-// isSpace marks JSON whitespace; plainChar the bytes a string literal may
-// hold unescaped, apart from its closing quote.
-var isSpace, plainChar = func() (space, plain [256]bool) {
-	space[' '], space['\t'], space['\n'], space['\r'] = true, true, true, true
-	for c := 0x20; c < 256; c++ {
-		plain[c] = c != '"' && c != '\\'
-	}
-	return space, plain
-}()
-
-// peek skips whitespace and returns the next byte, or 0 at the end.
-func (d *decoder) peek() byte {
-	d.ws()
-	if d.pos < len(d.data) {
-		return d.data[d.pos]
-	}
-	return 0
-}
-
-// literal consumes lit (true, false or null).
-func (d *decoder) literal(lit string) {
-	if end := d.pos + len(lit); end <= len(d.data) && string(d.data[d.pos:end]) == lit {
+// lit consumes the literal text s and reports whether it came next.
+func (d *decoder) lit(s string) bool {
+	if end := d.pos + len(s); end <= len(d.data) && string(d.data[d.pos:end]) == s {
 		d.pos = end
-		return
-	}
-	d.fail()
-}
-
-// null consumes a null if one comes next.
-func (d *decoder) null() bool {
-	if d.peek() != 'n' {
-		return false
-	}
-	d.literal("null")
-	return true
-}
-
-// open consumes the bracket that starts an object or array and reports
-// whether a member follows; an empty object or array is consumed whole.
-func (d *decoder) open(start, end byte) bool {
-	if d.peek() != start {
-		d.fail()
-		return false
-	}
-	d.pos++
-	if d.peek() == end {
-		d.pos++
-		return false
-	}
-	return true
-}
-
-// more consumes the comma before another member and reports true, or the
-// closing bracket and reports false.
-func (d *decoder) more(end byte) bool {
-	switch d.peek() {
-	case ',':
-		d.pos++
 		return true
-	case end:
-		d.pos++
-		return false
 	}
 	d.fail()
 	return false
 }
 
-// object opens a struct-valued field: false for null, which leaves the
-// struct unchanged, and for an empty object.
-func (d *decoder) object() bool { return !d.null() && d.open('{', '}') }
-
-// quoted consumes a string literal, checking its escapes, and returns its
-// raw contents and whether any escape occurred.
-func (d *decoder) quoted() (raw []byte, escaped bool) {
-	if d.peek() != '"' {
-		d.fail()
+// number consumes pre and the number literal after it, and reports whether
+// the number is an integer (no fraction or exponent). It checks the JSON
+// grammar itself: strconv also takes "+1", "0x1p3", "inf" and "1_0",
+// which JSON does not.
+func (d *decoder) number(pre string) (tok []byte, integer bool) {
+	if !d.lit(pre) {
 		return nil, false
 	}
-	b, start := d.data, d.pos+1
-	for i := start; i < len(b); i++ {
-		if plainChar[b[i]] {
-			continue
-		}
-		switch c := b[i]; {
-		case c == '"':
-			d.pos = i + 1
-			return b[start:i], escaped
-		case c < 0x20:
-			d.fail()
-			return nil, false
-		case c == '\\':
-			escaped = true
-			i++
-			if i == len(b) {
-				d.fail()
-				return nil, false
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-					d.fail()
-					return nil, false
-				}
-				i += 4
-			default:
-				d.fail()
-				return nil, false
-			}
-		}
-	}
-	d.fail()
-	return nil, false
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// key reads a member's key and the colon after it. encoding/json matches
-// an escaped key after unescaping it, so those are left to json.
-func (d *decoder) key() []byte {
-	k, escaped := d.quoted()
-	if escaped || d.peek() != ':' {
-		d.fail()
-		return nil
-	}
-	d.pos++
-	return k
-}
-
-// unknown skips the value of a key no field has here. A key that folds to
-// any field name might match one case-insensitively in json.
-func (d *decoder) unknown(key []byte) {
-	for _, name := range resultFieldNames {
-		if strings.EqualFold(string(key), name) {
-			d.fail()
-			return
-		}
-	}
-	d.skip(0)
-}
-
-// skip consumes one value of any JSON type, checking its syntax.
-func (d *decoder) skip(depth int) {
-	switch d.peek() {
-	case '{', '[':
-		if depth == maxSkipDepth {
-			d.fail()
-			return
-		}
-		start, end := d.data[d.pos], byte('}')
-		if start == '[' {
-			end = ']'
-		}
-		for more := d.open(start, end); more; more = d.more(end) {
-			if start == '{' {
-				d.quoted()
-				if d.peek() != ':' {
-					d.fail()
-					return
-				}
-				d.pos++
-			}
-			d.skip(depth + 1)
-		}
-	case '"':
-		d.quoted()
-	case 't':
-		d.literal("true")
-	case 'f':
-		d.literal("false")
-	case 'n':
-		d.literal("null")
-	default:
-		d.number()
-	}
-}
-
-// number consumes a number literal and reports whether it is an integer
-// (no fraction or exponent). It checks the JSON grammar itself: strconv
-// also takes "+1", "0x1p3", "inf" and "1_0", which JSON does not.
-func (d *decoder) number() (tok []byte, integer bool) {
-	d.ws()
 	b, i := d.data, d.pos
 	if i < len(b) && b[i] == '-' {
 		i++
@@ -330,11 +125,8 @@ func digits(b []byte, i int) int {
 
 // i64 decodes an integer field. Like json it rejects a fraction or an
 // exponent ("5.0", "1e2") and anything outside int64.
-func (d *decoder) i64(p *int64) {
-	if d.null() {
-		return
-	}
-	tok, integer := d.number()
+func (d *decoder) i64(pre string, p *int64) {
+	tok, integer := d.number(pre)
 	if !integer {
 		d.fail()
 		return
@@ -367,9 +159,9 @@ func (d *decoder) i64(p *int64) {
 }
 
 // int decodes an int field, which json bounds by the platform's int.
-func (d *decoder) int(p *int) {
-	v := int64(*p)
-	d.i64(&v)
+func (d *decoder) int(pre string, p *int) {
+	var v int64
+	d.i64(pre, &v)
 	if int64(int(v)) != v {
 		d.fail()
 		return
@@ -379,11 +171,8 @@ func (d *decoder) int(p *int) {
 
 // f64 decodes a float field. ParseFloat fails out of range ("1e400"), and
 // so does json.
-func (d *decoder) f64(p *float64) {
-	if d.null() {
-		return
-	}
-	tok, _ := d.number()
+func (d *decoder) f64(pre string, p *float64) {
+	tok, _ := d.number(pre)
 	if !d.ok {
 		return
 	}
@@ -395,354 +184,212 @@ func (d *decoder) f64(p *float64) {
 	*p = f
 }
 
-func (d *decoder) bool(p *bool) {
-	switch d.peek() {
-	case 'n':
-		d.literal("null")
-	case 't':
-		d.literal("true")
-		*p = true
-	case 'f':
-		d.literal("false")
-		*p = false
-	default:
-		d.fail()
+func (d *decoder) bool(pre string, p *bool) {
+	*p = d.lit(pre) && d.pos < len(d.data) && d.data[d.pos] == 't'
+	if *p {
+		d.lit("true")
+	} else {
+		d.lit("false")
 	}
 }
 
-// str decodes a string field. json replaces invalid UTF-8 and unescapes;
-// both are left to it.
-func (d *decoder) str(p *string) {
-	if d.null() {
-		return
+// quoted consumes pre and the string literal after it, quotes included,
+// and returns the literal. json unescapes and replaces invalid UTF-8, so
+// a string with an escape or invalid UTF-8 is left to it, as is one with
+// a control character, which json rejects.
+func (d *decoder) quoted(pre string) []byte {
+	if !d.lit(pre) || !d.lit(`"`) {
+		return nil
 	}
-	raw, escaped := d.quoted()
-	if !d.ok || escaped || !utf8.Valid(raw) {
+	b, start := d.data, d.pos
+	i := start
+	for i < len(b) && b[i] >= 0x20 && b[i] != '"' && b[i] != '\\' {
+		i++
+	}
+	if i == len(b) || b[i] != '"' || !utf8.Valid(b[start:i]) {
 		d.fail()
+		return nil
+	}
+	d.pos = i + 1
+	return b[start-1 : i+1]
+}
+
+// str decodes a string field.
+func (d *decoder) str(pre string, p *string) {
+	lit := d.quoted(pre)
+	if !d.ok {
 		return
 	}
-	if string(raw) != d.last {
+	if raw := lit[1 : len(lit)-1]; string(raw) != d.last {
 		d.last = string(raw)
 	}
 	*p = d.last
 }
 
-// i64s decodes a JSON array into a fixed-size Go array. Like json it
-// skips elements past the end and zeroes those a shorter array leaves.
-func (d *decoder) i64s(a []int64) {
-	if d.null() {
-		return
+// i64s decodes a JSON array into a fixed-size Go array of the same
+// length, as json.Marshal writes it. pre ends with the array's bracket.
+func (d *decoder) i64s(pre string, a []int64) {
+	for i := range a {
+		d.i64(pre, &a[i])
+		pre = ","
 	}
-	i := 0
-	for more := d.open('[', ']'); more; more = d.more(']') {
-		if i < len(a) {
-			d.i64(&a[i])
-		} else {
-			d.skip(0)
-		}
-		i++
-	}
-	if i < len(a) {
-		clear(a[i:])
-	}
+	d.lit("]")
 }
 
-// policy hands a policy's raw value to its own UnmarshalJSON, as json does,
-// so names, legacy integers and the rejection of null behave alike.
-func (d *decoder) policy(u json.Unmarshaler) {
-	d.ws()
-	start := d.pos
-	d.skip(0)
-	if d.ok && u.UnmarshalJSON(d.data[start:d.pos]) != nil {
+// policy hands a policy's name, quotes included, to its own UnmarshalJSON,
+// as json does.
+func (d *decoder) policy(pre string, u json.Unmarshaler) {
+	lit := d.quoted(pre)
+	if d.ok && u.UnmarshalJSON(lit) != nil {
 		d.fail()
 	}
 }
 
 func (d *decoder) result(r *Result) {
-	for more := d.open('{', '}'); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Benchmark":
-			d.str(&r.Benchmark)
-		case "Config":
-			d.config(&r.Config)
-		case "Pipeline":
-			d.pipelineStats(&r.Pipeline)
-		case "DStats":
-			d.dStats(&r.DStats)
-		case "IStats":
-			d.iStats(&r.IStats)
-		case "DAcct":
-			d.account(&r.DAcct)
-		case "IAcct":
-			d.account(&r.IAcct)
-		case "DL1":
-			d.cacheStats(&r.DL1)
-		case "IL1":
-			d.cacheStats(&r.IL1)
-		case "Hier":
-			d.hierarchyStats(&r.Hier)
-		case "Power":
-			d.breakdown(&r.Power)
-		default:
-			d.unknown(k)
-		}
-	}
+	d.str(`{"Benchmark":`, &r.Benchmark)
+	d.config(`,"Config":`, &r.Config)
+	d.pipelineStats(`,"Pipeline":`, &r.Pipeline)
+	d.dStats(`,"DStats":`, &r.DStats)
+	d.iStats(`,"IStats":`, &r.IStats)
+	d.account(`,"DAcct":`, &r.DAcct)
+	d.account(`,"IAcct":`, &r.IAcct)
+	d.cacheStats(`,"DL1":`, &r.DL1)
+	d.cacheStats(`,"IL1":`, &r.IL1)
+	d.hierarchyStats(`,"Hier":`, &r.Hier)
+	d.breakdown(`,"Power":`, &r.Power)
+	d.lit("}")
 }
 
-func (d *decoder) config(c *Config) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Benchmark":
-			d.str(&c.Benchmark)
-		case "Trace":
-			d.str(&c.Trace)
-		case "Insts":
-			d.i64(&c.Insts)
-		case "DPolicy":
-			d.policy(&c.DPolicy)
-		case "IPolicy":
-			d.policy(&c.IPolicy)
-		case "SelectiveWays":
-			d.int(&c.SelectiveWays)
-		case "DSize":
-			d.int(&c.DSize)
-		case "DWays":
-			d.int(&c.DWays)
-		case "DBlock":
-			d.int(&c.DBlock)
-		case "ISize":
-			d.int(&c.ISize)
-		case "IWays":
-			d.int(&c.IWays)
-		case "IBlock":
-			d.int(&c.IBlock)
-		case "DLatency":
-			d.int(&c.DLatency)
-		case "TableSize":
-			d.int(&c.TableSize)
-		case "VictimSize":
-			d.int(&c.VictimSize)
-		case "UsePaperCosts":
-			d.bool(&c.UsePaperCosts)
-		case "Core":
-			d.coreConfig(&c.Core)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) config(pre string, c *Config) {
+	d.lit(pre)
+	d.str(`{"Benchmark":`, &c.Benchmark)
+	d.str(`,"Trace":`, &c.Trace)
+	d.i64(`,"Insts":`, &c.Insts)
+	d.policy(`,"DPolicy":`, &c.DPolicy)
+	d.policy(`,"IPolicy":`, &c.IPolicy)
+	d.int(`,"SelectiveWays":`, &c.SelectiveWays)
+	d.int(`,"DSize":`, &c.DSize)
+	d.int(`,"DWays":`, &c.DWays)
+	d.int(`,"DBlock":`, &c.DBlock)
+	d.int(`,"ISize":`, &c.ISize)
+	d.int(`,"IWays":`, &c.IWays)
+	d.int(`,"IBlock":`, &c.IBlock)
+	d.int(`,"DLatency":`, &c.DLatency)
+	d.int(`,"TableSize":`, &c.TableSize)
+	d.int(`,"VictimSize":`, &c.VictimSize)
+	d.bool(`,"UsePaperCosts":`, &c.UsePaperCosts)
+	d.coreConfig(`,"Core":`, &c.Core)
+	d.lit("}")
 }
 
-func (d *decoder) coreConfig(c *pipeline.Config) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "FetchWidth":
-			d.int(&c.FetchWidth)
-		case "IssueWidth":
-			d.int(&c.IssueWidth)
-		case "CommitWidth":
-			d.int(&c.CommitWidth)
-		case "ROBSize":
-			d.int(&c.ROBSize)
-		case "LSQSize":
-			d.int(&c.LSQSize)
-		case "DCachePorts":
-			d.int(&c.DCachePorts)
-		case "MaxInsts":
-			d.i64(&c.MaxInsts)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) coreConfig(pre string, c *pipeline.Config) {
+	d.lit(pre)
+	d.int(`{"FetchWidth":`, &c.FetchWidth)
+	d.int(`,"IssueWidth":`, &c.IssueWidth)
+	d.int(`,"CommitWidth":`, &c.CommitWidth)
+	d.int(`,"ROBSize":`, &c.ROBSize)
+	d.int(`,"LSQSize":`, &c.LSQSize)
+	d.int(`,"DCachePorts":`, &c.DCachePorts)
+	d.i64(`,"MaxInsts":`, &c.MaxInsts)
+	d.lit("}")
 }
 
-func (d *decoder) pipelineStats(s *pipeline.Stats) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Cycles":
-			d.i64(&s.Cycles)
-		case "Committed":
-			d.i64(&s.Committed)
-		case "FetchGroups":
-			d.i64(&s.FetchGroups)
-		case "Dispatched":
-			d.i64(&s.Dispatched)
-		case "Issued":
-			d.i64(&s.Issued)
-		case "Loads":
-			d.i64(&s.Loads)
-		case "Stores":
-			d.i64(&s.Stores)
-		case "Branches":
-			d.i64(&s.Branches)
-		case "BranchMispred":
-			d.i64(&s.BranchMispred)
-		case "RASMispred":
-			d.i64(&s.RASMispred)
-		case "RegReads":
-			d.i64(&s.RegReads)
-		case "RegWrites":
-			d.i64(&s.RegWrites)
-		case "IntOps":
-			d.i64(&s.IntOps)
-		case "FPOps":
-			d.i64(&s.FPOps)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) pipelineStats(pre string, s *pipeline.Stats) {
+	d.lit(pre)
+	d.i64(`{"Cycles":`, &s.Cycles)
+	d.i64(`,"Committed":`, &s.Committed)
+	d.i64(`,"FetchGroups":`, &s.FetchGroups)
+	d.i64(`,"Dispatched":`, &s.Dispatched)
+	d.i64(`,"Issued":`, &s.Issued)
+	d.i64(`,"Loads":`, &s.Loads)
+	d.i64(`,"Stores":`, &s.Stores)
+	d.i64(`,"Branches":`, &s.Branches)
+	d.i64(`,"BranchMispred":`, &s.BranchMispred)
+	d.i64(`,"RASMispred":`, &s.RASMispred)
+	d.i64(`,"RegReads":`, &s.RegReads)
+	d.i64(`,"RegWrites":`, &s.RegWrites)
+	d.i64(`,"IntOps":`, &s.IntOps)
+	d.i64(`,"FPOps":`, &s.FPOps)
+	d.lit("}")
 }
 
-func (d *decoder) dStats(s *access.DStats) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Loads":
-			d.i64(&s.Loads)
-		case "Stores":
-			d.i64(&s.Stores)
-		case "ByClass":
-			d.i64s(s.ByClass[:])
-		case "LoadMiss":
-			d.i64(&s.LoadMiss)
-		case "MispredDM":
-			d.i64(&s.MispredDM)
-		case "MispredWay":
-			d.i64(&s.MispredWay)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) dStats(pre string, s *access.DStats) {
+	d.lit(pre)
+	d.i64(`{"Loads":`, &s.Loads)
+	d.i64(`,"Stores":`, &s.Stores)
+	d.i64s(`,"ByClass":[`, s.ByClass[:])
+	d.i64(`,"LoadMiss":`, &s.LoadMiss)
+	d.i64(`,"MispredDM":`, &s.MispredDM)
+	d.i64(`,"MispredWay":`, &s.MispredWay)
+	d.lit("}")
 }
 
-func (d *decoder) iStats(s *access.IStats) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Fetches":
-			d.i64(&s.Fetches)
-		case "ByClass":
-			d.i64s(s.ByClass[:])
-		case "BySource":
-			d.i64s(s.BySource[:])
-		case "Misses":
-			d.i64(&s.Misses)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) iStats(pre string, s *access.IStats) {
+	d.lit(pre)
+	d.i64(`{"Fetches":`, &s.Fetches)
+	d.i64s(`,"ByClass":[`, s.ByClass[:])
+	d.i64s(`,"BySource":[`, s.BySource[:])
+	d.i64(`,"Misses":`, &s.Misses)
+	d.lit("}")
 }
 
-func (d *decoder) account(a *energy.Account) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Costs":
-			d.costs(&a.Costs)
-		case "ParallelReads":
-			d.i64(&a.ParallelReads)
-		case "OneWayReads":
-			d.i64(&a.OneWayReads)
-		case "TagOnlyReads":
-			d.i64(&a.TagOnlyReads)
-		case "SecondProbes":
-			d.i64(&a.SecondProbes)
-		case "Writes":
-			d.i64(&a.Writes)
-		case "Fills":
-			d.i64(&a.Fills)
-		case "TableAccesses":
-			d.i64(&a.TableAccesses)
-		case "PartialWays":
-			d.i64(&a.PartialWays)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) account(pre string, a *energy.Account) {
+	d.lit(pre)
+	d.costs(`{"Costs":`, &a.Costs)
+	d.i64(`,"ParallelReads":`, &a.ParallelReads)
+	d.i64(`,"OneWayReads":`, &a.OneWayReads)
+	d.i64(`,"TagOnlyReads":`, &a.TagOnlyReads)
+	d.i64(`,"SecondProbes":`, &a.SecondProbes)
+	d.i64(`,"Writes":`, &a.Writes)
+	d.i64(`,"Fills":`, &a.Fills)
+	d.i64(`,"TableAccesses":`, &a.TableAccesses)
+	d.i64(`,"PartialWays":`, &a.PartialWays)
+	d.lit("}")
 }
 
-func (d *decoder) costs(c *energy.Costs) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Ways":
-			d.int(&c.Ways)
-		case "Tag":
-			d.f64(&c.Tag)
-		case "WayParallel":
-			d.f64(&c.WayParallel)
-		case "WaySolo":
-			d.f64(&c.WaySolo)
-		case "WriteWay":
-			d.f64(&c.WriteWay)
-		case "Table":
-			d.f64(&c.Table)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) costs(pre string, c *energy.Costs) {
+	d.lit(pre)
+	d.int(`{"Ways":`, &c.Ways)
+	d.f64(`,"Tag":`, &c.Tag)
+	d.f64(`,"WayParallel":`, &c.WayParallel)
+	d.f64(`,"WaySolo":`, &c.WaySolo)
+	d.f64(`,"WriteWay":`, &c.WriteWay)
+	d.f64(`,"Table":`, &c.Table)
+	d.lit("}")
 }
 
-func (d *decoder) cacheStats(s *cache.Stats) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Accesses":
-			d.i64(&s.Accesses)
-		case "Hits":
-			d.i64(&s.Hits)
-		case "Misses":
-			d.i64(&s.Misses)
-		case "Evictions":
-			d.i64(&s.Evictions)
-		case "Dirty":
-			d.i64(&s.Dirty)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) cacheStats(pre string, s *cache.Stats) {
+	d.lit(pre)
+	d.i64(`{"Accesses":`, &s.Accesses)
+	d.i64(`,"Hits":`, &s.Hits)
+	d.i64(`,"Misses":`, &s.Misses)
+	d.i64(`,"Evictions":`, &s.Evictions)
+	d.i64(`,"Dirty":`, &s.Dirty)
+	d.lit("}")
 }
 
-func (d *decoder) hierarchyStats(s *cache.HierarchyStats) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "L2Accesses":
-			d.i64(&s.L2Accesses)
-		case "L2Hits":
-			d.i64(&s.L2Hits)
-		case "L2Misses":
-			d.i64(&s.L2Misses)
-		case "MemAccesses":
-			d.i64(&s.MemAccesses)
-		case "Writebacks":
-			d.i64(&s.Writebacks)
-		case "L2Writebacks":
-			d.i64(&s.L2Writebacks)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) hierarchyStats(pre string, s *cache.HierarchyStats) {
+	d.lit(pre)
+	d.i64(`{"L2Accesses":`, &s.L2Accesses)
+	d.i64(`,"L2Hits":`, &s.L2Hits)
+	d.i64(`,"L2Misses":`, &s.L2Misses)
+	d.i64(`,"MemAccesses":`, &s.MemAccesses)
+	d.i64(`,"Writebacks":`, &s.Writebacks)
+	d.i64(`,"L2Writebacks":`, &s.L2Writebacks)
+	d.lit("}")
 }
 
-func (d *decoder) breakdown(b *wattch.Breakdown) {
-	for more := d.object(); more; more = d.more('}') {
-		switch k := d.key(); string(k) {
-		case "Clock":
-			d.f64(&b.Clock)
-		case "Frontend":
-			d.f64(&b.Frontend)
-		case "Rename":
-			d.f64(&b.Rename)
-		case "Window":
-			d.f64(&b.Window)
-		case "Regfile":
-			d.f64(&b.Regfile)
-		case "FU":
-			d.f64(&b.FU)
-		case "LSQ":
-			d.f64(&b.LSQ)
-		case "L1I":
-			d.f64(&b.L1I)
-		case "L1D":
-			d.f64(&b.L1D)
-		case "L2":
-			d.f64(&b.L2)
-		default:
-			d.unknown(k)
-		}
-	}
+func (d *decoder) breakdown(pre string, b *wattch.Breakdown) {
+	d.lit(pre)
+	d.f64(`{"Clock":`, &b.Clock)
+	d.f64(`,"Frontend":`, &b.Frontend)
+	d.f64(`,"Rename":`, &b.Rename)
+	d.f64(`,"Window":`, &b.Window)
+	d.f64(`,"Regfile":`, &b.Regfile)
+	d.f64(`,"FU":`, &b.FU)
+	d.f64(`,"LSQ":`, &b.LSQ)
+	d.f64(`,"L1I":`, &b.L1I)
+	d.f64(`,"L1D":`, &b.L1D)
+	d.f64(`,"L2":`, &b.L2)
+	d.lit("}")
 }

@@ -49,10 +49,10 @@ func fillLeaves(t *testing.T, v reflect.Value, n *int) {
 	}
 }
 
-// TestDecodeResultCoversEveryField: the reader has a case for every field
-// of Result and of every struct inside it. A field without one would be
-// an unknown key that folds to a field name, which the reader leaves to
-// encoding/json, so the reader itself must accept the payload.
+// TestDecodeResultCoversEveryField: the reader reads every field of Result
+// and of every struct inside it. A field without a reader would show as a
+// positional mismatch, which the reader leaves to encoding/json, so the
+// reader itself must accept the payload.
 func TestDecodeResultCoversEveryField(t *testing.T) {
 	var r Result
 	n := 0
@@ -102,20 +102,43 @@ func TestDecodeResultLegacyPolicyIntegers(t *testing.T) {
 }
 
 // TestDecodeResultAllocs pins what decoding a canonical payload allocates:
-// the Result and the benchmark name, which Result and Config share. The
-// encoding/json path costs 17, so a payload that falls back to it fails
-// here on any host.
+// the Result, the benchmark name that Result and Config share, and the
+// trace string when there is one. It covers every policy pair and both
+// kinds of trace the engine writes. The encoding/json path costs 17, so a
+// policy name or trace string that falls back to it fails here on any host.
 func TestDecodeResultAllocs(t *testing.T) {
-	data, err := EncodeResult(testResult(t))
-	if err != nil {
-		t.Fatalf("EncodeResult: %v", err)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeResult(data); err != nil {
-			t.Fatal(err)
+	var cases []Config
+	for d := access.DParallel; d <= access.DWayPredMRU; d++ {
+		for i := access.IParallel; i <= access.IWayPred; i++ {
+			c := testResult(t).Config
+			c.DPolicy, c.IPolicy = d, i
+			cases = append(cases, c)
 		}
-	}); avg > 2 {
-		t.Errorf("DecodeResult allocates %.1f times per canonical payload, want at most 2", avg)
+	}
+	for _, tr := range []string{"trace://" + strings.Repeat("0123456789abcdef", 4), "traces/gcc-20k.wct"} {
+		c := testResult(t).Config
+		c.Trace = tr
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		r := *testResult(t)
+		r.Config = c
+		data, err := EncodeResult(&r)
+		if err != nil {
+			t.Fatalf("EncodeResult: %v", err)
+		}
+		want := 2.0
+		if c.Trace != "" {
+			want++
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeResult(data); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > want {
+			t.Errorf("DecodeResult allocates %.1f times for %v/%v trace %q, want at most %.0f",
+				avg, c.DPolicy, c.IPolicy, c.Trace, want)
+		}
 	}
 }
 
@@ -177,6 +200,48 @@ func FuzzDecodeResult(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// Schema drift: records from an older writer lack a field, records from
+	// a newer one carry an extra field, and a trace path holding '&' is
+	// written escaped. All of them are json's to decode.
+	data, err := EncodeResult(testResult(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []string{`,"Power":{`, `,"Core":{`} {
+		i := bytes.Index(data, []byte(cut))
+		if i < 0 {
+			f.Fatalf("payload lacks %s", cut)
+		}
+		j := i + bytes.IndexByte(data[i:], '}') + 1
+		f.Add(append(data[:i:i], data[j:]...))
+	}
+	f.Add(append(data[:len(data)-1:len(data)-1], `,"Future":{"a":[1]}}`...))
+	newerConfig := bytes.Replace(data, []byte(`}},"Pipeline":`), []byte(`},"Future":"x"},"Pipeline":`), 1)
+	if bytes.Equal(newerConfig, data) {
+		f.Fatalf("payload lacks the end of Config:\n%s", data)
+	}
+	f.Add(newerConfig)
+	r := *testResult(f)
+	r.Config.Trace = "traces/a&b.wct"
+	escaped, err := EncodeResult(&r)
+	if err != nil || !bytes.Contains(escaped, []byte(`\u0026`)) {
+		f.Fatalf("EncodeResult did not escape '&': %v\n%s", err, escaped)
+	}
+	f.Add(escaped)
+	// A canonical payload with one value changed: the reader's own checks
+	// on a value in its place, accepted or left to json.
+	for _, v := range [][2]string{
+		{"Cycles", "5.0"}, {"Cycles", "1e2"}, {"Cycles", "+1"}, {"Cycles", "01"}, {"Cycles", "-"},
+		{"Cycles", "9223372036854775808"}, {"Cycles", "18446744073709551616"}, {"Cycles", "-9223372036854775808"},
+		{"DSize", "9223372036854775807"},
+		{"L2", "1e400"}, {"L2", "0x1p3"}, {"L2", "1."}, {"L2", "3e"}, {"L2", "-0.0e-0"},
+		{"Benchmark", "\"g\xffc\""}, {"Benchmark", "\"g\tc\""}, {"Benchmark", `"g\u0063c"`}, {"Benchmark", `"g`},
+		{"DPolicy", `"nope"`}, {"DPolicy", "null"}, {"DPolicy", "3"},
+		{"UsePaperCosts", "true"}, {"UsePaperCosts", "fals"},
+	} {
+		f.Add(withValue(f, data, v[0], v[1]))
+	}
+	f.Add(append(data[:len(data):len(data)], " x"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeResult(data)
 		want := new(Result)
@@ -188,4 +253,16 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("DecodeResult and json.Unmarshal differ:\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// withValue returns data with the value of key's first occurrence, which
+// must be a number, literal or plain string, replaced by val.
+func withValue(tb testing.TB, data []byte, key, val string) []byte {
+	i := bytes.Index(data, []byte(`"`+key+`":`))
+	if i < 0 {
+		tb.Fatalf("payload lacks %s", key)
+	}
+	i += len(key) + 3
+	j := i + bytes.IndexAny(data[i:], ",}")
+	return append(append(data[:i:i], val...), data[j:]...)
 }

@@ -20,10 +20,12 @@ package core
 // byte, checksums) is the store's job, not the payload's.
 //
 // encoding/json defines the format in both directions. EncodeResult is
-// json.Marshal itself; DecodeResult reads with a hand-written reader
-// (decode.go) whose semantics equal json.Unmarshal's, because a server
-// decodes every stored result whenever it rebuilds its corpus.
-// FuzzDecodeResult holds the reader to json.Unmarshal as its oracle.
+// json.Marshal itself. DecodeResult reads exactly the canonical form
+// EncodeResult writes with a hand-written positional reader (decode.go),
+// because a server decodes every stored result whenever it rebuilds its
+// corpus. Everything else, records from older or newer versions included,
+// goes to json.Unmarshal. FuzzDecodeResult holds DecodeResult to
+// json.Unmarshal as its oracle.
 
 import (
 	"encoding/json"
@@ -50,13 +52,13 @@ func EncodeResult(r *Result) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeResult decodes bytes produced by EncodeResult, exactly as
-// json.Unmarshal into a Result would: records written by a newer waycache
-// still decode (unknown fields are skipped), fields absent from old
-// records decode as zero values, and policies decode from names or legacy
-// integers. A canonical payload is read by a reflection-free reader (see
-// decode.go); any input it cannot vouch for goes to encoding/json, which
-// also supplies every decoding error.
+// DecodeResult decodes bytes produced by EncodeResult into the Result
+// json.Unmarshal would give. A reflection-free reader (see decode.go)
+// reads exactly the canonical form EncodeResult writes. Everything else
+// goes to encoding/json, which supplies every decoding error: records
+// written by a newer waycache (unknown fields are skipped) or an older one
+// (absent fields decode as zero values), legacy integer policies and
+// escaped strings all decode, only slower.
 func DecodeResult(data []byte) (*Result, error) {
 	r := new(Result)
 	if decodeResult(data, r) {

@@ -21,7 +21,9 @@ go test -bench . -benchtime=1x -benchmem -run '^$' . | tee "$out"
 # The trace decode path (Reader.Next and the arena's bulk load) and the
 # arena replay's window expansion.
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/trace
-# core.Run replaying each suite stream under every d-cache policy (ns/inst).
+# core.Run replaying each suite stream under every d-cache policy (ns/inst),
+# and the result codec guard: BenchmarkDecodeResult and
+# BenchmarkEncodeResult (time and allocs per result).
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/core
 # A cold query-corpus fill, at one CPU (the result store's serial scan)
 # and at two (its parallel decode).
