@@ -31,10 +31,11 @@
 //
 // internal/trace additionally defines the capture/replay substrate: a
 // versioned, varint-delta-compressed on-disk format for dynamic
-// instruction streams (trace.Writer/trace.Reader) behind the same
-// trace.Source interface the live workload walkers implement, so
-// cachesim, sweeps and experiments run identically — byte for byte —
-// from a recorded file or a live generator. cmd/tracegen -capture records
+// instruction streams (trace.Writer, replayed through trace.Arena)
+// behind the same trace.WindowSource interface the live workload walkers
+// reach the pipeline through, so cachesim, sweeps and experiments run
+// identically — byte for byte — from a recorded file or a live
+// generator. cmd/tracegen -capture records
 // traces; cachesim -trace and sweep -trace replay them.
 //
 // See docs/ARCHITECTURE.md for the package map and data-flow diagram, and

@@ -19,6 +19,7 @@ import (
 	"waycache/internal/core"
 	"waycache/internal/program"
 	"waycache/internal/stats"
+	"waycache/internal/trace"
 	"waycache/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func main() {
 	}
 
 	const insts = 500_000
-	base, err := core.Run(core.Config{Benchmark: kv.Name, Source: kv.NewWalker(), Insts: insts})
+	base, err := core.Run(core.Config{Benchmark: kv.Name, Source: trace.Windowed(kv.NewWalker(), 512), Insts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 	for _, pol := range []access.DPolicy{
 		access.DSequential, access.DWayPredPC, access.DSelDMWayPred, access.DSelDMSequential,
 	} {
-		res, err := core.Run(core.Config{Benchmark: kv.Name, Source: kv.NewWalker(), Insts: insts, DPolicy: pol})
+		res, err := core.Run(core.Config{Benchmark: kv.Name, Source: trace.Windowed(kv.NewWalker(), 512), Insts: insts, DPolicy: pol})
 		if err != nil {
 			log.Fatal(err)
 		}

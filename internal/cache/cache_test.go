@@ -278,7 +278,7 @@ func TestPrecomputedMasksMatchGeometry(t *testing.T) {
 			if got, want := c.BlockAddr(addr), addr/uint64(cfg.BlockBytes)*uint64(cfg.BlockBytes); got != want {
 				t.Fatalf("%s: BlockAddr(%#x) = %#x, want %#x", cfg.Name, addr, got, want)
 			}
-			if got, want := c.Index(addr), int(addr/uint64(cfg.BlockBytes))%c.NumSets(); got != want {
+			if got, want := c.Index(addr), int(addr/uint64(cfg.BlockBytes)%uint64(c.NumSets())); got != want {
 				t.Fatalf("%s: Index(%#x) = %d, want %d", cfg.Name, addr, got, want)
 			}
 			if got, want := c.Tag(addr), addr/uint64(cfg.BlockBytes)/uint64(c.NumSets()); got != want {

@@ -31,10 +31,11 @@ type Config struct {
 	// Benchmark names a workload.Suite profile. Leave empty and set Source
 	// or Trace to drive the simulator from a custom stream.
 	Benchmark string
-	// Source is an optional custom source (overrides Benchmark and Trace).
-	// A config driving one has no canonical key or encoding, so such runs
-	// are never memoized or persisted (see Key and EncodeResult).
-	Source trace.Source `json:"-"`
+	// Source is an optional custom stream (overrides Benchmark and Trace);
+	// wrap a Next-only generator with trace.Windowed. A config driving one
+	// has no canonical key or encoding, so such runs are never memoized or
+	// persisted (see Key and EncodeResult).
+	Source trace.WindowSource `json:"-"`
 
 	// Trace is the path of a captured trace file (trace.Writer format; see
 	// docs/TRACE_FORMAT.md), or a content-addressed "trace://<sha256>"
@@ -178,16 +179,17 @@ func (c Config) costsFor(size, ways, block int) (energy.Costs, error) {
 	})
 }
 
-// source builds the trace source. The returned finish func (nil for
-// in-memory sources) releases the source and surfaces any streaming error
-// once the run has drained it.
+// source builds the trace source. The returned finish func, nil except
+// for a replayed capture, reports once the run has drained the source
+// whether the capture ran dry: its deferred decode error, or its short
+// length.
 func (c Config) source() (src trace.WindowSource, name string, finish func() error, err error) {
 	if c.Source != nil {
 		name := c.Benchmark
 		if name == "" {
 			name = "custom"
 		}
-		return trace.NewLimit(trace.Windowed(c.Source, sourceWindow), c.Insts), name, nil, nil
+		return trace.NewLimit(c.Source, c.Insts), name, nil, nil
 	}
 	if c.Trace != "" {
 		return c.traceSource()
@@ -203,19 +205,18 @@ func (c Config) source() (src trace.WindowSource, name string, finish func() err
 }
 
 // sourceWindow is the generate-ahead buffer (in instructions) put in front
-// of non-window sources — live walkers and custom streams — since the
-// pipeline fetches only from windows. Replayed captures window natively
-// and bypass it. 512 instructions is ~24KB: far past the fetch stride, far
-// below any cache budget that matters.
+// of live walkers, since the pipeline fetches only from windows. Replayed
+// captures window natively and bypass it. 512 instructions is ~24KB: far
+// past the fetch stride, far below any cache budget that matters.
 const sourceWindow = 512
 
 // traceSource resolves the captured trace named by c.Trace through the
 // process-wide arena — each file is decoded once and every run replays the
 // shared in-memory instructions — and validates it against the run: it
 // must carry enough instructions and, when Benchmark is set too, come from
-// that benchmark. Replay is byte-identical to streaming the file: the same
-// records in the same order, with decode errors surfaced only if the run
-// actually consumes the corrupt range.
+// that benchmark. A corrupt capture replays its good prefix, and its
+// decode error surfaces only if the run actually consumes the corrupt
+// range.
 func (c Config) traceSource() (trace.WindowSource, string, func() error, error) {
 	var src *trace.MemSource
 	var err error
@@ -255,8 +256,7 @@ func (c Config) traceSource() (trace.WindowSource, string, func() error, error) 
 	finish := func() error {
 		if src.Count() < c.Insts {
 			// The replay ran dry: corrupt suffix if the decoder stopped on
-			// an error, plain short trace otherwise — exactly the errors a
-			// streaming Reader would report at this consumption point.
+			// an error, plain short trace otherwise.
 			if err := src.Err(); err != nil {
 				return err
 			}

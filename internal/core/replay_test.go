@@ -35,26 +35,27 @@ func TestWalkerCaptureRoundTrip(t *testing.T) {
 
 	p, _ := workload.ByName(bench)
 	want := p.NewWalker()
-	f, err := trace.Open(path)
+	src, err := trace.NewArena(0).Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 
-	var got, exp trace.Inst
-	for i := 0; i < n; i++ {
-		if !f.Next(&got) {
-			t.Fatalf("trace ended at %d (err %v)", i, f.Err())
+	var exp trace.Inst
+	i := 0
+	for w := src.Window(); len(w) > 0; w = src.Window() {
+		for _, got := range w {
+			if !want.Next(&exp) {
+				t.Fatalf("walker ended at %d", i)
+			}
+			if got != exp {
+				t.Fatalf("instruction %d differs:\n got %+v\nwant %+v", i, got, exp)
+			}
+			i++
 		}
-		if !want.Next(&exp) {
-			t.Fatalf("walker ended at %d", i)
-		}
-		if got != exp {
-			t.Fatalf("instruction %d differs:\n got %+v\nwant %+v", i, got, exp)
-		}
+		src.Advance(len(w))
 	}
-	if f.Next(&got) {
-		t.Fatal("trace has records beyond the declared count")
+	if i != n || src.Err() != nil {
+		t.Fatalf("trace holds %d records (err %v), want %d", i, src.Err(), n)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestReplayShortUndeclaredTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "gcc"+trace.FileExt)
-	src := trace.NewLimit(trace.Windowed(p.NewWalker(), 512), have)
+	src := &firstN{src: p.NewWalker(), n: have}
 	if err := trace.CaptureFile(path, trace.Header{Benchmark: p.Name, Seed: p.Seed}, src); err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +128,20 @@ func TestReplayShortUndeclaredTrace(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("short replay error %v, want it to contain %q", err, want)
 	}
+}
+
+// firstN is the first n instructions of src.
+type firstN struct {
+	src trace.Source
+	n   int64
+}
+
+func (f *firstN) Next(out *trace.Inst) bool {
+	if f.n <= 0 || !f.src.Next(out) {
+		return false
+	}
+	f.n--
+	return true
 }
 
 func TestReplayRejectsBenchmarkMismatch(t *testing.T) {

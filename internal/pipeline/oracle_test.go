@@ -366,11 +366,18 @@ func (r *reference) fetchControl(in *trace.Inst, block uint64, blockWay int) boo
 	panic("reference: non-control kind in fetchControl")
 }
 
-// nextOnly hides a source's window methods, leaving the per-instruction
-// Next interface a live walker has.
-type nextOnly struct{ src trace.Source }
+// sliceSource pulls a materialized stream one instruction at a time, as
+// a live walker produces it: the reference scheduler's feed, and the
+// Next-only producer trace.Windowed buffers for the pipeline.
+type sliceSource struct{ insts []trace.Inst }
 
-func (n *nextOnly) Next(out *trace.Inst) bool { return n.src.Next(out) }
+func (s *sliceSource) Next(out *trace.Inst) bool {
+	if len(s.insts) == 0 {
+		return false
+	}
+	*out, s.insts = s.insts[0], s.insts[1:]
+	return true
+}
 
 // oracleRig builds one matched pair of model state for a trial. Both
 // schedulers must see freshly constructed, identically configured caches
@@ -453,7 +460,7 @@ func TestOracleEquivalence(t *testing.T) {
 			}
 
 			dc, ic, fe := oracleRig(policy, dsize, isize)
-			want := referenceRun(cfg, &nextOnly{trace.NewMemSource(insts, trace.Header{})}, dc, ic, fe)
+			want := referenceRun(cfg, &sliceSource{insts}, dc, ic, fe)
 			run := func(src trace.WindowSource) Stats {
 				dc, ic, fe := oracleRig(policy, dsize, isize)
 				return New(cfg, src, dc, ic, fe).Run()
@@ -461,7 +468,7 @@ func TestOracleEquivalence(t *testing.T) {
 			ctx := func(leg string) string {
 				return leg + " policy=" + policy.String() + " bench=" + bench
 			}
-			if got := run(trace.Windowed(&nextOnly{trace.NewMemSource(insts, trace.Header{})}, bufCap)); got != want {
+			if got := run(trace.Windowed(&sliceSource{insts}, bufCap)); got != want {
 				t.Errorf("%s (buffer %d):\n got %+v\nwant %+v\ncfg %+v", ctx("next-path"), bufCap, got, want, cfg)
 			}
 			if got := run(trace.NewLimit(trace.NewMemSource(insts, trace.Header{}), n)); got != want {
@@ -567,7 +574,7 @@ func TestOracleFarWakes(t *testing.T) {
 				return &slowLoads{DController: dc, every: every, extra: extra}, ic, fe
 			}
 			dc, ic, fe := rig()
-			want := referenceRun(cfg, &nextOnly{trace.NewMemSource(insts, trace.Header{})}, dc, ic, fe)
+			want := referenceRun(cfg, &sliceSource{insts}, dc, ic, fe)
 			dc, ic, fe = rig()
 			got := New(cfg, trace.NewMemSource(insts, trace.Header{}), dc, ic, fe).Run()
 			if got != want {

@@ -115,7 +115,7 @@ func TestBranchMispredictionStallsFetch(t *testing.T) {
 	// static branch. Run lengths amortize the one cold i-cache miss.
 	steady := testRig(access.DParallel, access.IParallel, mkBranches(func(int) bool { return false }), 3000).Run()
 	noisy := testRig(access.DParallel, access.IParallel, mkBranches(func(i int) bool {
-		return (i*2654435761)%7 < 3 // deterministic pseudo-random pattern
+		return uint64(i)*2654435761%7 < 3 // deterministic pseudo-random pattern
 	}), 3000).Run()
 	if noisy.BranchMispred <= steady.BranchMispred {
 		t.Fatalf("noisy pattern mispredicts (%d) not above steady (%d)",

@@ -141,11 +141,11 @@ func orIPolicies(dim []access.IPolicy) []access.IPolicy {
 }
 
 // SizeCap is the saturation bound of Size: grids whose cartesian product
-// reaches it report exactly SizeCap. Capping keeps the product arithmetic
-// overflow-free (no dimension can push a capped product past an int64), so
-// size limits checked against Size — like the HTTP service's per-job
-// bound — cannot be bypassed by a grid large enough to wrap.
-const SizeCap = 1 << 40
+// reaches it report exactly SizeCap. Size checks each factor before it
+// multiplies, so the product never passes SizeCap, which fits a 32-bit
+// int, and size limits checked against Size — like the HTTP service's
+// per-job bound — cannot be bypassed by a grid large enough to wrap.
+const SizeCap = 1 << 30
 
 // Size returns the number of configurations Configs will produce,
 // saturating at SizeCap.
@@ -157,15 +157,12 @@ func (g Grid) Size() int {
 		len(orInts(g.ISizes)), len(orInts(g.IWays)), len(orInts(g.IBlocks)),
 		len(orInts(g.DLatencies)), len(orInts(g.TableSizes)), len(orInts(g.VictimSizes)),
 	} {
-		if n >= SizeCap {
+		if n > SizeCap/l {
 			return SizeCap
 		}
 		n *= l
 	}
-	if n >= SizeCap {
-		return SizeCap
-	}
-	return n
+	return min(n, SizeCap)
 }
 
 // Configs expands the grid into the full cartesian product in a fixed

@@ -167,7 +167,7 @@ func TestGridSizeSaturates(t *testing.T) {
 	// SizeCap, not wrap: size limits (like the HTTP service's per-job
 	// bound) compare against Size and would otherwise be bypassed.
 	big := make([]int, 1024)
-	g := Grid{DSizes: big, DWays: big, DBlocks: big, ISizes: big, IWays: big, IBlocks: big}
+	g := Grid{DSizes: big, DWays: big, DBlocks: big, ISizes: big, IWays: big, IBlocks: big, DLatencies: big}
 	if got := g.Size(); got != SizeCap {
 		t.Errorf("overflowing grid Size() = %d, want SizeCap %d", got, SizeCap)
 	}

@@ -157,13 +157,10 @@ func (r *traceResolver) probeRef(ref, hash string) traceProbe {
 		} else {
 			p.reason = fmt.Sprintf("trace %s: %v", trace.ShortHash(hash), err)
 		}
-	} else if f, err := trace.Open(path); err != nil {
+	} else if h, err := trace.ReadHeader(path); err != nil {
 		p.reason = fmt.Sprintf("trace %s: fetch failed: %v", trace.ShortHash(hash), err)
 	} else {
-		p.path = path
-		p.h = f.Header()
-		f.Close()
-		p.ok = true
+		p.path, p.h, p.ok = path, h, true
 	}
 	r.probes[ref] = p
 	return p
@@ -178,12 +175,11 @@ func (r *traceResolver) probe(bench string) traceProbe {
 		return p
 	}
 	p := traceProbe{path: filepath.Join(r.dir, bench+trace.FileExt)}
-	f, err := trace.Open(p.path)
+	h, err := trace.ReadHeader(p.path)
 	if err != nil {
 		p.reason = err.Error()
 	} else {
-		p.h = f.Header()
-		f.Close()
+		p.h = h
 		switch prof, err := workload.ByName(bench); {
 		case err != nil:
 			p.reason = err.Error()

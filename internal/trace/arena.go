@@ -15,19 +15,15 @@ package trace
 // fetch-window buffer, a run segment at a time, with a table read, a
 // delta add and a few field copies per instruction.
 //
-// Replay semantics are contractually identical to streaming the file with
-// Reader: the same instructions in the same order, and the same errors
-// surfaced at the same consumption points (a decode error beyond the range
-// a run consumes stays invisible to that run, exactly as it would be to a
-// Reader stopped at the run's instruction count). The determinism gate and the replay tests hold
-// the two paths byte-identical.
+// A corrupt file replays its good prefix, and its decode error is
+// deferred to MemSource.Err: a run that consumes fewer instructions than
+// the prefix holds never sees it. TestDecodeErrorTexts pins each error's
+// text and the prefix before it.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -87,10 +83,9 @@ func SharedArena() *Arena { return shared }
 
 // Load returns a MemSource replaying the decoded contents of the trace
 // file at path, decoding it at most once per (path, size, mtime) across
-// all concurrent callers. Open and header errors are returned exactly as
-// Open would return them; mid-stream decode errors are deferred to the
-// MemSource so a run that never reaches the corrupt suffix never sees
-// them (matching the streaming Reader).
+// all concurrent callers. Open and header errors are returned as is;
+// mid-stream decode errors are deferred to the MemSource so a run that
+// never reaches the corrupt suffix never sees them.
 func (a *Arena) Load(path string) (*MemSource, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -175,17 +170,14 @@ func (a *Arena) finish(key string, e *arenaEntry) (*MemSource, error) {
 // decode reads the whole file, verifies it against wantHash when one is
 // given, and decodes its records into a static-instruction table. A hash
 // mismatch turns the whole load into an open error: nothing is cached or
-// served under a hash the bytes do not carry. The records go through the
-// same decoder as Reader, so the good prefix and the deferred error of a
-// corrupt file are exactly what streaming it would give.
+// served under a hash the bytes do not carry.
 func (e *arenaEntry) decode(path, wantHash string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		e.openErr = err
 		return
 	}
-	br := bytes.NewReader(data)
-	h, err := readHeader(br)
+	h, body, err := splitHeader(data)
 	if err != nil {
 		e.openErr = err
 		return
@@ -201,7 +193,6 @@ func (e *arenaEntry) decode(path, wantHash string) {
 		}
 	}
 	e.h = h
-	body := data[len(data)-br.Len():]
 
 	// Size the table from the declared count, but never trust it past
 	// what the file could physically hold (records are at least one
@@ -211,7 +202,7 @@ func (e *arenaEntry) decode(path, wantHash string) {
 	var recs [expandRun]record // decoded a run at a time, then interned
 	for k := len(recs); k == len(recs); {
 		var n int
-		k, n = d.next(body, io.EOF, recs[:])
+		k, n = d.next(body, recs[:])
 		body = body[n:]
 		b.add(recs[:k], d.esc)
 	}
@@ -273,12 +264,12 @@ func (a *Arena) ResidentBytes() int64 {
 	return a.resident
 }
 
-// MemSource replays a decoded trace by index: the Source the arena hands
-// each simulation. The static-instruction table is shared; each MemSource
-// keeps its own cursors into it — the next instruction, and the position
-// in the table's streams past its expanded window — and each memory
-// static's latest address, and expands up to expandRun instructions at a
-// time into its own buffer, which Window exposes and Next copies from: no
+// MemSource replays a decoded trace by index: the WindowSource the arena
+// hands each simulation. The static-instruction table is shared; each
+// MemSource keeps its own cursors into it — the next instruction, and the
+// position in the table's streams past its expanded window — and each
+// memory static's latest address, and expands up to expandRun
+// instructions at a time into its own buffer, which Window exposes: no
 // I/O, no varint decoding and no allocation once the source is built.
 type MemSource struct {
 	t         *table
@@ -319,19 +310,6 @@ func NewMemSource(insts []Inst, h Header) *MemSource {
 	return newMemSource(&t, h, nil)
 }
 
-// Next implements Source.
-//
-//wclint:hotpath
-func (m *MemSource) Next(out *Inst) bool {
-	w := m.Window()
-	if len(w) == 0 {
-		return false
-	}
-	*out = w[0]
-	m.Advance(1)
-	return true
-}
-
 // Window implements WindowSource: the expanded run of instructions from
 // the current position, expanding the next run once the last one is
 // consumed.
@@ -367,10 +345,9 @@ func (m *MemSource) Count() int64 { return int64(m.pos) }
 func (m *MemSource) Remaining() int64 { return int64(m.t.insts() - m.pos) }
 
 // Err returns the decode error the backing file carries beyond the records
-// Next can reach, or nil for a clean trace. A consumer that drained fewer
-// records than it needed must consult Err to distinguish a short trace
-// from a corrupt one — the same contract as Reader.Err after Next returns
-// false.
+// Window can reach, or nil for a clean trace. A consumer that drained
+// fewer records than it needed must consult Err to distinguish a short
+// trace from a corrupt one.
 func (m *MemSource) Err() error { return m.decodeErr }
 
 // Reset rewinds the source to the beginning, where no static has an

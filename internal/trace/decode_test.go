@@ -87,38 +87,6 @@ func TestSuiteFootprint(t *testing.T) {
 	}
 }
 
-// TestReaderNextZeroAllocs pins the streaming decode as allocation-free:
-// draining a whole capture through Reader.Next allocates nothing once the
-// Reader is open.
-func TestReaderNextZeroAllocs(t *testing.T) {
-	const n, runs = 20_000, 5
-	data := suiteCapture(t, n)
-	readers := make([]*trace.Reader, runs+1) // AllocsPerRun adds a warm-up run
-	for i := range readers {
-		r, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readers[i] = r
-	}
-	var in trace.Inst
-	next := 0
-	avg := testing.AllocsPerRun(runs, func() {
-		r := readers[next]
-		next++
-		for r.Next(&in) {
-		}
-	})
-	for _, r := range readers {
-		if r.Err() != nil || r.Count() != n {
-			t.Fatalf("decoded %d of %d records: %v", r.Count(), n, r.Err())
-		}
-	}
-	if avg != 0 {
-		t.Fatalf("draining a %d-record capture made %.0f allocations, want 0", n, avg)
-	}
-}
-
 // TestMemSourceWindowZeroAllocs pins arena replay as allocation-free:
 // draining a capture through Window/Advance in fetch-width strides, which
 // refills the expansion buffer dozens of times, allocates nothing once the
@@ -145,27 +113,6 @@ func TestMemSourceWindowZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("draining a %d-record capture through windows made %.0f allocations, want 0", n, avg)
 	}
-}
-
-// BenchmarkReaderNext streams a suite-sized capture through Reader.Next.
-func BenchmarkReaderNext(b *testing.B) {
-	data := suiteCapture(b, suiteInsts)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var in trace.Inst
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r.Next(&in) {
-		}
-		if r.Err() != nil || r.Count() != suiteInsts {
-			b.Fatalf("decoded %d records: %v", r.Count(), r.Err())
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suiteInsts), "ns/inst")
 }
 
 // BenchmarkArenaLoad loads a suite-sized capture file through a fresh

@@ -4,11 +4,13 @@ package trace
 // Inst streams, so sweeps and experiments can replay captured workloads
 // instead of re-walking the synthetic generators (and so external tools
 // can feed the simulator recorded streams of their own). The byte-level
-// format is specified in docs/TRACE_FORMAT.md; Writer and Reader are the
-// canonical implementations of that spec.
+// format is specified in docs/TRACE_FORMAT.md; Writer and the decoder
+// the Arena reads whole files through are the canonical implementations
+// of that spec.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,7 +37,7 @@ const FormatVersion = 1
 const FileExt = ".wct"
 
 // Header describes a captured trace. It is written after the magic and
-// version and returned by Reader.Header.
+// version and returned by ReadHeader and MemSource.Header.
 type Header struct {
 	// Benchmark names the workload the trace was captured from (empty or
 	// "custom" for non-suite sources).
@@ -218,36 +220,35 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Reader decodes a trace file and implements Source. After Next returns
-// false, Err distinguishes clean end-of-trace (nil) from corruption or a
-// truncated file.
-type Reader struct {
-	r   *bufio.Reader
-	h   Header
-	win []byte // the undecoded tail of r's buffered bytes
-	end error  // the error that ended r's input once fewer than maxRecordLen bytes remain
-	dec decoder
-}
-
-// NewReader validates the magic and version and decodes the header.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	h, err := readHeader(br)
+// ReadHeader returns the header of the trace file at path without
+// reading its records: the probe callers use to vet a capture before
+// replaying it through an Arena. A header error is prefixed with the
+// path; an error opening the file is returned as os.Open reports it.
+func ReadHeader(path string) (Header, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return Header{}, err
 	}
-	win, _ := br.Peek(br.Buffered())
-	return &Reader{r: br, h: h, win: win, dec: decoder{declared: h.Insts}}, nil
+	defer f.Close()
+	h, err := readHeader(bufio.NewReader(f))
+	if err != nil {
+		return Header{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return h, nil
 }
 
-// headerReader is the input readHeader parses: a streaming bufio.Reader
-// for Reader, an in-memory bytes.Reader for the arena.
-type headerReader interface {
-	io.Reader
-	io.ByteReader
+// splitHeader parses the header at the head of a whole file's bytes and
+// returns it with the record bytes that follow it.
+func splitHeader(data []byte) (Header, []byte, error) {
+	rd := bytes.NewReader(data)
+	br := bufio.NewReader(rd)
+	h, err := readHeader(br)
+	return h, data[len(data)-rd.Len()-br.Buffered():], err
 }
 
-func readHeader(br headerReader) (Header, error) {
+// readHeader parses the magic, version and header fields from the head
+// of br.
+func readHeader(br *bufio.Reader) (Header, error) {
 	var h Header
 	prefix := make([]byte, len(Magic)+1)
 	if _, err := io.ReadFull(br, prefix); err != nil {
@@ -298,66 +299,14 @@ func readHeader(br headerReader) (Header, error) {
 	return h, nil
 }
 
-// Header returns the decoded file header.
-func (r *Reader) Header() Header { return r.h }
-
-// Count returns the number of records decoded so far.
-func (r *Reader) Count() int64 { return r.dec.read }
-
-// Err returns the first decode error, or nil if the trace ended cleanly.
-func (r *Reader) Err() error { return r.dec.err }
-
-// Next implements Source: it decodes the next record into *out, returning
-// false at end of trace or on error (see Err).
-//
-//wclint:hotpath
-func (r *Reader) Next(out *Inst) bool {
-	if r.dec.done() {
-		return false
-	}
-	if len(r.win) < maxRecordLen {
-		r.fill()
-	}
-	r.dec.esc = r.dec.esc[:0] // the escape table only ever holds this record
-	var rec [1]record
-	k, n := r.dec.next(r.win, r.end, rec[:])
-	r.win = r.win[n:]
-	if k == 0 {
-		return false
-	}
-	rec[0].inst(r.dec.esc, out)
-	return true
-}
-
-// fill discards the decoded bytes from r.r and refills the window to at
-// least maxRecordLen bytes, or to the end of input. The error ending the
-// input is kept until the window drains, as bufio keeps a read error
-// behind the bytes buffered before it. Only io.EOF at an empty window is
-// retried, so a clean end is re-checked on every call, as a byte-at-a-time
-// reader would.
-func (r *Reader) fill() {
-	r.r.Discard(r.r.Buffered() - len(r.win))
-	if r.end == nil || len(r.win) == 0 && r.end == io.EOF {
-		_, r.end = r.r.Peek(maxRecordLen)
-	}
-	r.win, _ = r.r.Peek(r.r.Buffered())
-}
-
-// maxRecordLen bounds one encoded record: the opcode, a PC delta, three
-// register bytes and at most three payload varints (address delta, offset
-// and base-value delta). A window of this many bytes always holds a whole
-// record, or enough of one to reject it.
-const maxRecordLen = 1 + binary.MaxVarintLen64 + 3 + 3*binary.MaxVarintLen64
-
 // errVarintOverflow is the text binary.ReadUvarint reports for a varint
 // longer than 64 bits.
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // decoder is the state of one record stream: the declared count, the
 // records decoded so far, the delta bases, the escape table and the first
-// error. Reader and the arena both decode through it into records
-// (packed.go), so the record grammar and the end-of-stream rules live
-// here alone.
+// error. The arena decodes a whole file through it into records
+// (packed.go).
 type decoder struct {
 	declared int64 // Header.Insts; 0 means read to end of input
 	read     int64
@@ -373,23 +322,20 @@ func (d *decoder) done() bool {
 	return d.err != nil || d.declared > 0 && d.read >= d.declared
 }
 
-// next decodes records from the head of b into out — up to len(out) of
-// them, stopping early at the end of the stream or on error (see d.err) —
-// and returns how many it decoded and the bytes they occupy. b holds at
-// least maxRecordLen bytes past the start of each record unless the input
-// ends within them; end is then the error that ended it (io.EOF for a
-// clean end of file). Reader decodes one record at a time out of its
-// window; the arena decodes a run at a time out of the whole file, which
-// keeps the delta bases in registers across the run. Errors read exactly
-// as a byte-at-a-time stream decode reports them.
+// next decodes records from the head of b, the rest of the file, into
+// out — up to len(out) of them, stopping early at the end of the stream
+// or on error (see d.err) — and returns how many it decoded and the bytes
+// they occupy. The arena decodes a run at a time, which keeps the delta
+// bases in registers across the run. TestDecodeErrorTexts pins the error
+// each kind of corruption gives.
 //
 //wclint:hotpath
-func (d *decoder) next(b []byte, end error, out []record) (k, used int) {
+func (d *decoder) next(b []byte, out []record) (k, used int) {
 	nextPC, prevAddr := d.nextPC, d.prevAddr // the delta bases, in registers
 records:
 	for ; k < len(out) && !d.done(); k++ {
 		if len(b) == 0 {
-			d.stop(end)
+			d.stop()
 			break records
 		}
 		op := b[0]
@@ -408,14 +354,14 @@ records:
 			if v, ok = byteVarint(b, n); ok {
 				n++
 			} else if v, n = varintAt(b, n); n <= 0 {
-				d.badVarint("pc delta", n, end)
+				d.badVarint("pc delta", n)
 				break records
 			}
 			r.pc += uint64(v)
 		}
 		if op&opRegs != 0 {
 			if len(b)-n < 3 {
-				d.badRegs(len(b)-n, end)
+				d.badRegs(len(b) - n)
 				break records
 			}
 			dst, src1, src2 = isa.Reg(b[n]), isa.Reg(b[n+1]), isa.Reg(b[n+2])
@@ -428,14 +374,14 @@ records:
 				break records
 			}
 			if v, n = varintAt(b, n); n <= 0 {
-				d.badVarint("address delta", n, end)
+				d.badVarint("address delta", n)
 				break records
 			}
 			r.payload = prevAddr + uint64(v)
 			if v, ok = byteVarint(b, n); ok {
 				n++
 			} else if v, n = varintAt(b, n); n <= 0 {
-				d.badVarint("offset", n, end)
+				d.badVarint("offset", n)
 				break records
 			}
 			if v < math.MinInt32 || v > math.MaxInt32 {
@@ -447,7 +393,7 @@ records:
 			prevAddr = r.payload
 			if op&opBaseValue != 0 {
 				if v, n = varintAt(b, n); n <= 0 {
-					d.badVarint("base value delta", n, end)
+					d.badVarint("base value delta", n)
 					break records
 				}
 				kb |= recEscape
@@ -464,7 +410,7 @@ records:
 			if v, ok = byteVarint(b, n); ok {
 				n++
 			} else if v, n = varintAt(b, n); n <= 0 {
-				d.badVarint("target delta", n, end)
+				d.badVarint("target delta", n)
 				break records
 			}
 			r.payload = r.pc + uint64(v)
@@ -514,14 +460,13 @@ func varintAt(b []byte, n int) (int64, int) {
 
 // The error paths of next, kept out of the hot path.
 
-// stop ends the stream at a record boundary: cleanly at end of file
-// unless the header declared more records, and with the input's own error
-// otherwise.
-func (d *decoder) stop(end error) {
-	switch {
-	case end != io.EOF:
-		d.err = end
-	case d.declared > 0:
+// stop ends the stream at the end of the file, a record boundary:
+// cleanly unless the header declared more records. Like the other error
+// paths it stays out of line, or its boxing would move into next.
+//
+//go:noinline
+func (d *decoder) stop() {
+	if d.declared > 0 {
 		d.fail("file ends after %d of %d declared records", d.read, d.declared)
 	}
 }
@@ -542,26 +487,27 @@ func (d *decoder) badOp(op byte) {
 	}
 }
 
-// badVarint reports a varint field that the input's end cuts short
-// (state 0) or that overflows 64 bits (state -1). A cut at end of file is
-// io.ErrUnexpectedEOF even before the field's first byte.
-func (d *decoder) badVarint(field string, state int, end error) {
+// badVarint reports a varint field that the end of the file cuts short
+// (state 0), even before the field's first byte, or that overflows 64
+// bits (state -1).
+//
+//go:noinline
+func (d *decoder) badVarint(field string, state int) {
 	err := errVarintOverflow
 	if state == 0 {
-		err = end
-		if end == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+		err = io.ErrUnexpectedEOF
 	}
 	d.fail("%s: %v", field, err)
 }
 
-// badRegs reports register bytes that the input's end cuts short after
-// have of the three, with io.ReadFull's errors: io.EOF when none are
-// present, io.ErrUnexpectedEOF when some are.
-func (d *decoder) badRegs(have int, end error) {
-	err := end
-	if have > 0 && end == io.EOF {
+// badRegs reports register bytes that the end of the file cuts short
+// after have of the three, with io.ReadFull's errors: io.EOF when none
+// are present, io.ErrUnexpectedEOF when some are.
+//
+//go:noinline
+func (d *decoder) badRegs(have int) {
+	err := io.EOF
+	if have > 0 {
 		err = io.ErrUnexpectedEOF
 	}
 	d.fail("registers: %v", err)
@@ -589,29 +535,6 @@ func (d *decoder) escape(in Inst) uint64 {
 func (d *decoder) fail(format string, args ...any) {
 	d.err = fmt.Errorf("trace: record %d: %s", d.read, fmt.Sprintf(format, args...))
 }
-
-// File is an open trace file: a Reader over the file plus its handle.
-type File struct {
-	Reader
-	f *os.File
-}
-
-// Open opens a captured trace file for replay.
-func Open(path string) (*File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &File{Reader: *r, f: f}, nil
-}
-
-// Close closes the underlying file.
-func (f *File) Close() error { return f.f.Close() }
 
 // Capture streams instructions from src into the trace format on w: h.Insts
 // of them when positive (erroring if src runs dry first, via the Writer's

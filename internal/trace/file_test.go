@@ -3,11 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"waycache/internal/isa"
@@ -54,22 +52,28 @@ func roundTrip(t *testing.T, h Header, insts []Inst) []Inst {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	r, err := NewReader(&buf)
+	src, err := loadBytes(t, buf.Bytes())
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	if got := r.Header(); got != h {
+	if got := src.Header(); got != h {
 		t.Fatalf("header round trip: got %+v, want %+v", got, h)
 	}
-	var out []Inst
-	var in Inst
-	for r.Next(&in) {
-		out = append(out, in)
-	}
-	if r.Err() != nil {
-		t.Fatalf("reader error: %v", r.Err())
+	out := drain(src)
+	if src.Err() != nil {
+		t.Fatalf("decode error: %v", src.Err())
 	}
 	return out
+}
+
+// loadBytes decodes data as a trace file through a fresh arena.
+func loadBytes(t *testing.T, data []byte) (*MemSource, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t"+FileExt)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return NewArena(0).Load(path)
 }
 
 func TestRoundTripLossless(t *testing.T) {
@@ -108,17 +112,12 @@ func TestDeclaredCountStopsBeforeTrailingBytes(t *testing.T) {
 	// Trailing garbage after the declared records must be ignored: it is
 	// room for future trailer sections.
 	buf.WriteString("future trailer, not records")
-	r, err := NewReader(&buf)
+	src, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	var in Inst
-	for r.Next(&in) {
-		n++
-	}
-	if n != len(insts) || r.Err() != nil {
-		t.Fatalf("decoded %d records (err %v), want %d and nil", n, r.Err(), len(insts))
+	if n := len(drain(src)); n != len(insts) || src.Err() != nil {
+		t.Fatalf("decoded %d records (err %v), want %d and nil", n, src.Err(), len(insts))
 	}
 }
 
@@ -165,7 +164,7 @@ func TestWriterRejectsKindForeignPayload(t *testing.T) {
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewReader(strings.NewReader("NOPEx....")); err == nil {
+	if _, err := loadBytes(t, []byte("NOPEx....")); err == nil {
 		t.Fatal("reader accepted bad magic")
 	}
 }
@@ -176,7 +175,7 @@ func TestReaderRejectsUnknownVersion(t *testing.T) {
 	w.Close()
 	b := buf.Bytes()
 	b[len(Magic)] = FormatVersion + 1
-	if _, err := NewReader(bytes.NewReader(b)); err == nil {
+	if _, err := loadBytes(t, b); err == nil {
 		t.Fatal("reader accepted a future format version")
 	}
 }
@@ -198,16 +197,15 @@ func TestReaderSkipsUnknownHeaderFields(t *testing.T) {
 	tmp = append(tmp, "gcc"...)
 	buf.Write(tmp)
 	buf.WriteByte(byte(isa.KindNop)) // one record
-	r, err := NewReader(&buf)
+	src, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("reader choked on unknown header field: %v", err)
 	}
-	if r.Header().Benchmark != "gcc" {
-		t.Fatalf("benchmark = %q after skipping unknown field", r.Header().Benchmark)
+	if src.Header().Benchmark != "gcc" {
+		t.Fatalf("benchmark = %q after skipping unknown field", src.Header().Benchmark)
 	}
-	var in Inst
-	if !r.Next(&in) || in.Kind != isa.KindNop || r.Err() != nil {
-		t.Fatalf("record after unknown field: %+v err %v", in, r.Err())
+	if got := drain(src); len(got) != 1 || got[0].Kind != isa.KindNop || src.Err() != nil {
+		t.Fatalf("records after unknown field: %+v err %v", got, src.Err())
 	}
 }
 
@@ -222,14 +220,12 @@ func TestReaderReportsTruncation(t *testing.T) {
 	full := buf.Bytes()
 	// Chop inside the record section: every prefix must either decode
 	// cleanly short (never here, count is declared) or set Err.
-	r, err := NewReader(bytes.NewReader(full[:len(full)-3]))
+	src, err := loadBytes(t, full[:len(full)-3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in Inst
-	for r.Next(&in) {
-	}
-	if r.Err() == nil {
+	drain(src)
+	if src.Err() == nil {
 		t.Fatal("truncated declared-count trace decoded without error")
 	}
 }
@@ -250,14 +246,12 @@ func TestReaderRejectsCorruptFlags(t *testing.T) {
 		// Give varint-hungry paths bytes to chew so the flag check is
 		// what trips, not EOF.
 		buf.Write([]byte{0, 0, 0, 0, 0})
-		r, err := NewReader(&buf)
+		src, err := loadBytes(t, buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var in Inst
-		for r.Next(&in) {
-		}
-		if r.Err() == nil {
+		drain(src)
+		if src.Err() == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -265,28 +259,23 @@ func TestReaderRejectsCorruptFlags(t *testing.T) {
 
 func TestCaptureStopsAtDeclaredCount(t *testing.T) {
 	// An "infinite" source: Capture must stop at Header.Insts.
-	src := &Repeat{Insts: wellFormed()}
+	src := pull{&Repeat{Insts: wellFormed()}}
 	var buf bytes.Buffer
 	n, err := Capture(&buf, Header{Benchmark: "rep", Insts: 100}, src)
 	if err != nil || n != 100 {
 		t.Fatalf("Capture = %d, %v; want 100, nil", n, err)
 	}
-	r, err := NewReader(&buf)
+	mem, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in Inst
-	count := 0
-	for r.Next(&in) {
-		count++
-	}
-	if count != 100 || r.Err() != nil {
-		t.Fatalf("replayed %d records, err %v", count, r.Err())
+	if count := len(drain(mem)); count != 100 || mem.Err() != nil {
+		t.Fatalf("replayed %d records, err %v", count, mem.Err())
 	}
 }
 
 func TestCaptureShortSourceFails(t *testing.T) {
-	src := NewMemSource(wellFormed(), Header{})
+	src := pull{NewMemSource(wellFormed(), Header{})}
 	var buf bytes.Buffer
 	if _, err := Capture(&buf, Header{Insts: 10_000}, src); err == nil {
 		t.Fatal("Capture of a too-short source succeeded")
@@ -297,30 +286,24 @@ func TestCaptureFileAndOpen(t *testing.T) {
 	insts := wellFormed()
 	path := filepath.Join(t.TempDir(), "synthetic"+FileExt)
 	h := Header{Benchmark: "synthetic", Seed: 7, Insts: int64(len(insts))}
-	if err := CaptureFile(path, h, NewMemSource(insts, Header{})); err != nil {
+	if err := CaptureFile(path, h, pull{NewMemSource(insts, Header{})}); err != nil {
 		t.Fatalf("CaptureFile: %v", err)
 	}
-	f, err := Open(path)
+	if got, err := ReadHeader(path); err != nil || got != h {
+		t.Fatalf("ReadHeader = %+v, %v; want %+v", got, err, h)
+	}
+	src, err := NewArena(0).Load(path)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	defer f.Close()
-	if f.Header() != h {
-		t.Fatalf("header = %+v, want %+v", f.Header(), h)
-	}
-	var got []Inst
-	var in Inst
-	for f.Next(&in) {
-		got = append(got, in)
-	}
-	if f.Err() != nil || !reflect.DeepEqual(got, insts) {
-		t.Fatalf("file round trip failed: err %v", f.Err())
+	if got := drain(src); src.Err() != nil || !reflect.DeepEqual(got, insts) {
+		t.Fatalf("file round trip failed: err %v", src.Err())
 	}
 }
 
 func TestCaptureFileRemovesPartialOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad"+FileExt)
-	err := CaptureFile(path, Header{Insts: 99}, NewMemSource(wellFormed(), Header{}))
+	err := CaptureFile(path, Header{Insts: 99}, pull{NewMemSource(wellFormed(), Header{})})
 	if err == nil {
 		t.Fatal("CaptureFile of a short source succeeded")
 	}
@@ -335,10 +318,4 @@ func TestVarintHelpers(t *testing.T) {
 			t.Fatalf("zigzag(%d) round trip = %d", v, got)
 		}
 	}
-}
-
-func TestReaderIsASource(t *testing.T) {
-	var _ Source = (*Reader)(nil)
-	var _ Source = (*File)(nil)
-	var _ io.Closer = (*File)(nil)
 }

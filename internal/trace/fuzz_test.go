@@ -10,15 +10,17 @@ import (
 	"waycache/internal/isa"
 )
 
-// FuzzTraceReader throws arbitrary bytes at the .wct decoder. A reader
+// FuzzTraceReader throws arbitrary bytes at the .wct decoder. A decode
 // fed garbage must fail cleanly (error, never panic). The arena, loading
-// the same bytes from a file, must agree with the streaming reader: the
-// same header error, or the same header, records and deferred error,
-// whether its source is drained through Next or through Window/Advance in
-// a stride the fuzzer picks. And whenever the reader decodes a stream cleanly, the decoded records
-// must re-encode through Writer — the reader's flag validation
-// guarantees every accepted record is one the writer could have
-// produced — and decode again to the identical instruction sequence.
+// the bytes from a file, must agree with flatDecode, which feeds the
+// decoder one record at a time and skips the arena's run batching and
+// static table: the same header error (and ReadHeader the same, prefixed
+// with the path), or the same header, records and deferred error, read
+// through Window/Advance in a stride the fuzzer picks. And whenever the
+// bytes decode cleanly, the decoded records must re-encode through
+// Writer — the decoder's flag validation guarantees every accepted
+// record is one the writer could have produced — and decode again to the
+// identical instruction sequence.
 func FuzzTraceReader(f *testing.F) {
 	// Seed: a well-formed capture touching every record class (compute,
 	// zero- and nonzero-offset memory, control with and without PC
@@ -50,60 +52,54 @@ func FuzzTraceReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		mem, loadErr := NewArena(0).Load(path)
-		r, err := NewReader(bytes.NewReader(data))
+		_, probeErr := ReadHeader(path)
+		want, err := flatDecode(data)
 		if err != nil {
 			if loadErr == nil || loadErr.Error() != err.Error() {
-				t.Fatalf("reader rejects the header with %q, arena load returns %v", err, loadErr)
+				t.Fatalf("flat decode rejects the header with %q, arena load returns %v", err, loadErr)
+			}
+			if probeErr == nil || probeErr.Error() != path+": "+err.Error() {
+				t.Fatalf("flat decode rejects the header with %q, ReadHeader returns %v", err, probeErr)
 			}
 			return // rejected at the header: otherwise the only requirement is no panic
 		}
-		if loadErr != nil {
-			t.Fatalf("arena rejects a header the reader accepts: %v", loadErr)
+		if loadErr != nil || probeErr != nil {
+			t.Fatalf("arena load (%v) or ReadHeader (%v) rejects a header the flat decode accepts", loadErr, probeErr)
 		}
-		h := r.Header()
-		insts := drain(r)
-		if mem.Header() != h {
-			t.Fatalf("arena header %+v, reader header %+v", mem.Header(), h)
+		insts := want.insts
+		if mem.Header() != want.h {
+			t.Fatalf("arena header %+v, flat decode header %+v", mem.Header(), want.h)
 		}
-		replayed := drain(mem)
-		if len(replayed) != len(insts) {
-			t.Fatalf("arena replays %d records, reader decodes %d", len(replayed), len(insts))
-		}
-		for i := range insts {
-			if replayed[i] != insts[i] {
-				t.Fatalf("record %d: arena %+v, reader %+v", i, replayed[i], insts[i])
-			}
-		}
-		// The same records again through windows, in a stride from 1 to
-		// past two expansion runs.
+		// The records through windows, in a stride from 1 to past two
+		// expansion runs.
 		step := 1 + int(stride)%(2*expandRun+1)
-		mem.Reset()
 		for pos := 0; ; {
 			w := mem.Window()
 			if len(w) == 0 {
 				if pos != len(insts) || mem.Count() != int64(pos) {
-					t.Fatalf("windows end at %d (Count %d), reader decodes %d", pos, mem.Count(), len(insts))
+					t.Fatalf("windows end at %d (Count %d), flat decode gives %d", pos, mem.Count(), len(insts))
 				}
 				break
 			}
 			k := min(step, len(w))
 			for j := range w[:k] {
 				if pos+j >= len(insts) || w[j] != insts[pos+j] {
-					t.Fatalf("stride %d, record %d: arena window %+v differs from the reader", step, pos+j, w[j])
+					t.Fatalf("stride %d, record %d: arena window %+v differs from the flat decode", step, pos+j, w[j])
 				}
 			}
 			mem.Advance(k)
 			pos += k
 		}
-		if errText(mem.Err()) != errText(r.Err()) {
-			t.Fatalf("arena error %q, reader error %q", errText(mem.Err()), errText(r.Err()))
+		if errText(mem.Err()) != errText(want.err) {
+			t.Fatalf("arena error %q, flat decode error %q", errText(mem.Err()), errText(want.err))
 		}
-		if r.Err() != nil {
+		if want.err != nil {
 			return // corrupt tail after a valid prefix: clean failure is enough
 		}
 
+		h := Header{Benchmark: want.h.Benchmark, Seed: want.h.Seed, Insts: int64(len(insts))}
 		var reenc bytes.Buffer
-		w, err := NewWriter(&reenc, Header{Benchmark: h.Benchmark, Seed: h.Seed, Insts: int64(len(insts))})
+		w, err := NewWriter(&reenc, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,20 +111,51 @@ func FuzzTraceReader(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r2, err := NewReader(bytes.NewReader(reenc.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded trace has an unreadable header: %v", err)
+		again, err := flatDecode(reenc.Bytes())
+		if err != nil || again.err != nil || again.h != h {
+			t.Fatalf("re-encoded trace decodes with header %+v (want %+v), errors %v, %v", again.h, h, err, again.err)
+		}
+		if len(again.insts) != len(insts) {
+			t.Fatalf("re-encoded trace decodes %d of %d records", len(again.insts), len(insts))
 		}
 		for i := range insts {
-			var got Inst
-			if !r2.Next(&got) {
-				t.Fatalf("re-encoded trace ends at record %d of %d: %v", i, len(insts), r2.Err())
-			}
-			if got != insts[i] {
-				t.Fatalf("record %d changed across a decode/encode round trip:\n  was %+v\n  got %+v", i, insts[i], got)
+			if again.insts[i] != insts[i] {
+				t.Fatalf("record %d changed across a decode/encode round trip:\n  was %+v\n  got %+v", i, insts[i], again.insts[i])
 			}
 		}
 	})
+}
+
+// flat is a trace decoded into a plain slice.
+type flat struct {
+	h     Header
+	insts []Inst
+	err   error // the decode error after insts, nil for a clean end
+}
+
+// flatDecode decodes data one record at a time through decoder.next,
+// expanding each record into an Inst as it comes: the arena's reference.
+// It returns an error only for a header the parse rejects.
+func flatDecode(data []byte) (flat, error) {
+	h, body, err := splitHeader(data)
+	if err != nil {
+		return flat{}, err
+	}
+	d := decoder{declared: h.Insts}
+	out := flat{h: h}
+	var rec [1]record
+	for {
+		k, n := d.next(body, rec[:])
+		if k == 0 {
+			break
+		}
+		body = body[n:]
+		var in Inst
+		rec[0].inst(d.esc, &in)
+		out.insts = append(out.insts, in)
+	}
+	out.err = d.err
+	return out, nil
 }
 
 func errText(err error) string {

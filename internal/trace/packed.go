@@ -239,8 +239,6 @@ func (r *record) put(in *Inst) {
 
 // inst writes the instruction r packs into *out; esc is the escape table
 // an escaped record indexes.
-//
-//wclint:hotpath
 func (r record) inst(esc []Inst, out *Inst) {
 	if r.meta&recEscape != 0 {
 		*out = esc[r.payload]

@@ -54,8 +54,8 @@ func randomInsts(rng *rand.Rand, n int) []Inst {
 }
 
 // TestMemSourcePackedRoundTrip replays random instructions through
-// NewMemSource's packed records: Next, and Window/Advance in strides that
-// straddle the expansion run, must give back every instruction unchanged,
+// NewMemSource's packed records: Window/Advance in strides that straddle
+// the expansion run must give back every instruction unchanged,
 // with Count and Remaining right at every step and Reset rewinding.
 func TestMemSourcePackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -72,14 +72,11 @@ func TestMemSourcePackedRoundTrip(t *testing.T) {
 		}
 	}
 
-	var in Inst
-	for i := range insts {
-		if !src.Next(&in) || in != insts[i] {
-			t.Fatalf("Next %d: got %+v, want %+v", i, in, insts[i])
-		}
-		check("Next", i+1)
+	if got := drain(src); !slices.Equal(got, insts) {
+		t.Fatalf("fresh replay differs from the packed instructions")
 	}
-	if src.Next(&in) || src.Window() != nil {
+	check("drain", n)
+	if src.Window() != nil {
 		t.Fatal("drained source still yields instructions")
 	}
 	src.Reset()
@@ -107,13 +104,6 @@ func TestMemSourcePackedRoundTrip(t *testing.T) {
 			src.Advance(k)
 			pos += k
 			check("Advance", pos)
-			if pos < n && stride%2 == 1 { // interleave Next on odd strides
-				if !src.Next(&in) || in != insts[pos] {
-					t.Fatalf("stride %d, interleaved Next %d: got %+v, want %+v", stride, pos, in, insts[pos])
-				}
-				pos++
-				check("interleaved Next", pos)
-			}
 		}
 		if src.Window() != nil {
 			t.Fatalf("stride %d: window after the last record", stride)
@@ -123,7 +113,7 @@ func TestMemSourcePackedRoundTrip(t *testing.T) {
 
 // TestArenaEscapesExplicitBaseValue loads a capture whose records include
 // explicit base values (Writer's opBaseValue): those records go to the
-// escape table and replay unchanged, through Next and Window alike, with
+// escape table and replay unchanged, from a fresh source and after Reset, with
 // the escapes counted in ResidentBytes. Escaped instructions share one
 // placeholder static and take no address.
 func TestArenaEscapesExplicitBaseValue(t *testing.T) {
@@ -150,7 +140,7 @@ func TestArenaEscapesExplicitBaseValue(t *testing.T) {
 	}
 	for i := range got {
 		if got[i] != insts[i] {
-			t.Fatalf("Next record %d: got %+v, want %+v", i, got[i], insts[i])
+			t.Fatalf("record %d: got %+v, want %+v", i, got[i], insts[i])
 		}
 	}
 	src.Reset()
@@ -241,8 +231,9 @@ func sharedInsts(rng *rand.Rand, n int) []Inst {
 // TestMemSourceSharedStatics replays a stream that revisits a few PCs
 // with every keyed field varied, through both table builders (the
 // arena's decode and NewMemSource's packing): every field must come back
-// as it went in, through Next, through Window/Advance in strides that
-// straddle the expansion run, and from a Reset in the middle of a window.
+// as it went in, from a fresh source, through Window/Advance in strides
+// that straddle the expansion run, and from a Reset in the middle of a
+// window.
 func TestMemSourceSharedStatics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 4*expandRun + 77
@@ -257,14 +248,8 @@ func TestMemSourceSharedStatics(t *testing.T) {
 		if s, e := len(src.t.statics), len(src.t.esc); s > 60 || e == 0 || e == n {
 			t.Fatalf("%s: %d statics and %d escapes for %d instructions: the input must share statics and escape some", name, s, e, n)
 		}
-		var in Inst
-		for i := range insts {
-			if !src.Next(&in) || in != insts[i] {
-				t.Fatalf("%s: Next %d: got %+v, want %+v", name, i, in, insts[i])
-			}
-		}
-		if src.Next(&in) {
-			t.Fatalf("%s: drained source still yields instructions", name)
+		if got := drain(src); !slices.Equal(got, insts) {
+			t.Fatalf("%s: fresh replay differs from the input", name)
 		}
 		for _, stride := range []int{1, 3, 7, expandRun - 1, expandRun, expandRun + 1, 2*expandRun + 5} {
 			// Start each pass from a Reset in the middle of a window.
@@ -341,7 +326,7 @@ func deltaEdgeInsts(iters int) []Inst {
 // independent reading of the stream gives: each memory instruction's
 // Addr minus its static's previous one (0 before the first), wide unless
 // it lies in -32767..32767. Replay must give back every instruction
-// through Next, and through Window/Advance in every stride from 1 to
+// from a fresh source, and through Window/Advance in every stride from 1 to
 // past two expansion runs, each pass after a Reset in the middle of a
 // window that has already moved the statics' latest addresses.
 func TestMemSourceAddressDeltas(t *testing.T) {
@@ -374,14 +359,8 @@ func TestMemSourceAddressDeltas(t *testing.T) {
 			t.Fatalf("%s: %d escapes, deltas %v, wide %#x; want no escapes, deltas %v, wide %#x",
 				name, len(src.t.esc), src.t.deltas, src.t.wide, wantDeltas, wantWide)
 		}
-		var in Inst
-		for i := range insts {
-			if !src.Next(&in) || in != insts[i] {
-				t.Fatalf("%s: Next %d: got %+v, want %+v", name, i, in, insts[i])
-			}
-		}
-		if src.Next(&in) {
-			t.Fatalf("%s: drained source still yields instructions", name)
+		if got := drain(src); !slices.Equal(got, insts) {
+			t.Fatalf("%s: fresh replay differs from the input", name)
 		}
 		for stride := 1; stride <= 2*expandRun+5; stride++ {
 			// Part of a pass first, ending inside a window, then Reset.

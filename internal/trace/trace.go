@@ -5,16 +5,18 @@
 // stream: each record carries the architectural information timing and
 // energy models need, and nothing else.
 //
-// Streams flow through the Source interface, which live workload walkers,
-// in-memory test sources, and replayed capture files all implement. The
-// on-disk capture format (file.go: Writer, Reader, Capture, Open; spec in
+// Producers emit a stream through the Source interface (Next): live
+// workload walkers, Capture and the traceconv exporters pull from it.
+// Consumers read it through WindowSource (Window/Advance), a fetch window
+// at a time; Windowed buffers a producer for them. The on-disk capture
+// format (file.go: Writer, Capture, ReadHeader; spec in
 // docs/TRACE_FORMAT.md) is versioned and varint-delta-compressed, so
 // sweeps replay recorded workloads byte-identically without re-walking
-// the generators. Hot replay paths go through the process-wide Arena
-// (arena.go), which decodes each capture once into a shared
-// static-instruction table (packed.go) — its distinct instructions, the
-// runs of consecutive statics its stream forms and a 2-byte delta per
-// memory address — and replays it by index (MemSource), expanding one fetch window of
+// the generators. Every replay goes through an Arena (arena.go), which
+// decodes each capture whole, once, into a shared static-instruction
+// table (packed.go) — its distinct instructions, the runs of consecutive
+// statics its stream forms and a 2-byte delta per memory address — and
+// replays it by index (MemSource), expanding one fetch window of
 // instructions at a time, so an N-config sweep pays one decode per file
 // instead of one per simulation.
 package trace
@@ -72,7 +74,9 @@ func (in *Inst) NextPC() uint64 {
 	return in.FallThrough()
 }
 
-// Source produces a dynamic instruction stream.
+// Source is a producer of a dynamic instruction stream: the live
+// workload walkers implement it, and Capture, Windowed and the traceconv
+// exporters pull from it.
 //
 // Next fills *out and returns true, or returns false when the stream is
 // exhausted. Implementations must be deterministic for a fixed construction
@@ -81,22 +85,20 @@ type Source interface {
 	Next(out *Inst) bool
 }
 
-// WindowSource is an optional Source extension for in-memory streams: the
-// consumer may inspect a contiguous prefix of the remaining instructions
-// without copying them and consume any leading part of it in one step.
-// Batch consumers (the pipeline's front end) read whole fetch strides
-// straight out of the window instead of copying out one Inst per Next
-// call.
+// WindowSource is how consumers read an instruction stream: the
+// consumer inspects a contiguous prefix of the remaining instructions
+// without copying them and consumes any leading part of it in one step.
+// The pipeline's front end reads whole fetch strides straight out of the
+// window. Replayed captures (MemSource) and in-memory streams (Repeat)
+// expose windows directly; a producer that only has Next reaches a
+// consumer through Windowed.
 //
 // Window returns a non-empty contiguous prefix of the remaining stream, or
 // an empty slice when the source is drained; it does not consume anything.
 // Advance consumes the first n instructions of the most recent Window.
-// The returned slice is valid until the next Window or Next call, and must
-// not be modified. Interleaving Next with Window/Advance is allowed; both
-// views observe the same position. A WindowSource must yield exactly the
-// instruction sequence its Next method would.
+// The returned slice is valid until the next Window call, and must not be
+// modified.
 type WindowSource interface {
-	Source
 	Window() []Inst
 	Advance(n int)
 }
@@ -113,26 +115,8 @@ type Repeat struct {
 	done int
 }
 
-// Next implements Source.
-func (r *Repeat) Next(out *Inst) bool {
-	if len(r.Insts) == 0 {
-		return false
-	}
-	if r.pos >= len(r.Insts) {
-		r.pos = 0
-		r.done++
-		if r.Times > 0 && r.done >= r.Times {
-			return false
-		}
-	}
-	*out = r.Insts[r.pos]
-	r.pos++
-	return true
-}
-
-// Window implements WindowSource: the remainder of the current pass. A new
-// pass begins — and the Times budget is charged — exactly when Next would
-// have wrapped.
+// Window implements WindowSource: the remainder of the current pass. A
+// drained pass starts the next one, and charges the Times budget.
 func (r *Repeat) Window() []Inst {
 	if len(r.Insts) == 0 {
 		return nil
@@ -150,13 +134,12 @@ func (r *Repeat) Window() []Inst {
 // Advance implements WindowSource.
 func (r *Repeat) Advance(n int) { r.pos += n }
 
-// Buffered adapts a plain Source into a WindowSource by generating ahead
-// into a fixed buffer: Window exposes the buffered run, and a drained
-// buffer refills with one batch of Next calls. Live generators (workload
-// walkers) produce their stream independently of the consumer's timing, so
-// buffering ahead yields the identical sequence — it just lets the
-// pipeline's batch fetch path read it in place instead of pulling one
-// record per call.
+// Buffered windows a plain Source by generating ahead into a fixed
+// buffer: Window exposes the buffered run, and a drained buffer refills
+// with one batch of Next calls. Live generators (workload walkers) produce
+// their stream independently of the consumer's timing, so buffering ahead
+// yields the identical sequence — it just lets the pipeline's batch fetch
+// path read it in place instead of pulling one record per call.
 type Buffered struct {
 	Src Source
 
@@ -165,35 +148,18 @@ type Buffered struct {
 	n   int
 }
 
-// NewBuffered wraps src with a window buffer of cap instructions.
-func NewBuffered(src Source, cap int) *Buffered {
+// Windowed returns src behind a window buffer of cap instructions.
+func Windowed(src Source, cap int) *Buffered {
 	return &Buffered{Src: src, buf: make([]Inst, cap)}
-}
-
-// Windowed returns a WindowSource view of src: src itself when it already
-// exposes windows, otherwise src behind a window buffer of cap
-// instructions.
-func Windowed(src Source, cap int) WindowSource {
-	if ws, ok := src.(WindowSource); ok {
-		return ws
-	}
-	return NewBuffered(src, cap)
-}
-
-// Next implements Source.
-func (b *Buffered) Next(out *Inst) bool {
-	if b.pos >= b.n && !b.refill() {
-		return false
-	}
-	*out = b.buf[b.pos]
-	b.pos++
-	return true
 }
 
 // Window implements WindowSource.
 func (b *Buffered) Window() []Inst {
-	if b.pos >= b.n && !b.refill() {
-		return nil
+	if b.pos >= b.n {
+		b.pos, b.n = 0, 0
+		for b.n < len(b.buf) && b.Src.Next(&b.buf[b.n]) {
+			b.n++
+		}
 	}
 	return b.buf[b.pos:b.n]
 }
@@ -201,17 +167,9 @@ func (b *Buffered) Window() []Inst {
 // Advance implements WindowSource.
 func (b *Buffered) Advance(n int) { b.pos += n }
 
-func (b *Buffered) refill() bool {
-	b.pos, b.n = 0, 0
-	for b.n < len(b.buf) && b.Src.Next(&b.buf[b.n]) {
-		b.n++
-	}
-	return b.n > 0
-}
-
 // Limit wraps a WindowSource and stops after N instructions. Windows come
 // straight from the underlying source, cut to the instructions the budget
-// still allows; Next and Window/Advance share one position.
+// still allows.
 type Limit struct {
 	Src WindowSource
 	N   int64
@@ -223,18 +181,6 @@ type Limit struct {
 // src.
 func NewLimit(src WindowSource, n int64) *Limit {
 	return &Limit{Src: src, N: n}
-}
-
-// Next implements Source.
-func (l *Limit) Next(out *Inst) bool {
-	if l.seen >= l.N {
-		return false
-	}
-	if !l.Src.Next(out) {
-		return false
-	}
-	l.seen++
-	return true
 }
 
 // Window implements WindowSource.

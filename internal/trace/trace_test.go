@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,21 +69,25 @@ func TestNextPC(t *testing.T) {
 	}
 }
 
+// pcs returns the PCs of insts.
+func pcs(insts []Inst) []uint64 {
+	out := make([]uint64, len(insts))
+	for i := range insts {
+		out[i] = insts[i].PC
+	}
+	return out
+}
+
 func TestMemSource(t *testing.T) {
 	src := NewMemSource([]Inst{{PC: 1}, {PC: 2}, {PC: 3}}, Header{})
-	var got []uint64
-	var in Inst
-	for src.Next(&in) {
-		got = append(got, in.PC)
-	}
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
+	if got := pcs(drain(src)); !slices.Equal(got, []uint64{1, 2, 3}) {
 		t.Fatalf("MemSource replay = %v", got)
 	}
-	if src.Next(&in) {
-		t.Fatal("exhausted source returned true")
+	if w := src.Window(); len(w) != 0 {
+		t.Fatal("exhausted source still has a window")
 	}
 	src.Reset()
-	if !src.Next(&in) || in.PC != 1 {
+	if w := src.Window(); len(w) == 0 || w[0].PC != 1 {
 		t.Fatal("Reset did not rewind")
 	}
 }
@@ -90,81 +95,79 @@ func TestMemSource(t *testing.T) {
 func TestLimit(t *testing.T) {
 	src := NewMemSource(make([]Inst, 100), Header{})
 	lim := NewLimit(src, 7)
-	var in Inst
-	n := 0
-	for lim.Next(&in) {
-		n++
-	}
-	if n != 7 {
+	if n := len(drain(lim)); n != 7 {
 		t.Fatalf("Limit yielded %d instructions, want 7", n)
 	}
 	if w := lim.Window(); len(w) != 0 {
 		t.Fatalf("spent Limit exposes a %d-instruction window", len(w))
 	}
+	if n := len(drain(NewLimit(NewMemSource(make([]Inst, 8), Header{}), 7))); n != 7 {
+		t.Fatalf("Limit of 7 over an 8-instruction window yielded %d", n)
+	}
 
-	// Window is cut at the budget, and Next and Window/Advance consume
-	// from one position.
+	// Window is cut at the budget, and Advance moves the underlying
+	// source.
 	insts := make([]Inst, 100)
 	for i := range insts {
 		insts[i].PC = uint64(i)
 	}
 	base := NewMemSource(insts, Header{})
 	lim = NewLimit(base, 10)
-	if !lim.Next(&in) || in.PC != 0 {
-		t.Fatalf("first Next = %d", in.PC)
+	if w := lim.Window(); len(w) != 10 || w[0].PC != 0 {
+		t.Fatalf("first window: len %d, first PC %d; want 10 from PC 0", len(w), w[0].PC)
 	}
+	lim.Advance(1)
 	w := lim.Window()
 	if len(w) != 9 || w[0].PC != 1 {
-		t.Fatalf("window after one Next: len %d, first PC %d; want 9 from PC 1", len(w), w[0].PC)
+		t.Fatalf("window after Advance(1): len %d, first PC %d; want 9 from PC 1", len(w), w[0].PC)
 	}
-	lim.Advance(4)
-	if !lim.Next(&in) || in.PC != 5 {
-		t.Fatalf("Next after Advance(4) = %d, want 5", in.PC)
-	}
+	lim.Advance(5)
 	if w := lim.Window(); len(w) != 4 || w[0].PC != 6 || w[3].PC != 9 {
-		t.Fatalf("window = %v, want PCs 6..9", w)
+		t.Fatalf("window = %v, want PCs 6..9", pcs(w))
 	}
 	lim.Advance(4)
 	if w := lim.Window(); len(w) != 0 {
 		t.Fatalf("window past budget has %d instructions", len(w))
 	}
-	if lim.Next(&in) {
-		t.Fatal("Next past budget returned true")
-	}
-	if !base.Next(&in) || in.PC != 10 {
-		t.Fatalf("underlying source resumes at PC %d, want 10", in.PC)
+	if w := base.Window(); len(w) == 0 || w[0].PC != 10 {
+		t.Fatalf("underlying source resumes at %v, want PC 10", pcs(w[:min(len(w), 1)]))
 	}
 }
 
 func TestRepeat(t *testing.T) {
 	src := &Repeat{Insts: []Inst{{PC: 1}, {PC: 2}}, Times: 3}
+	if got := pcs(drain(src)); !slices.Equal(got, []uint64{1, 2, 1, 2, 1, 2}) {
+		t.Fatalf("sequence = %v, want three passes of 1, 2", got)
+	}
+
+	// A pass consumed in strides that do not divide it wraps exactly at
+	// its end.
+	src = &Repeat{Insts: []Inst{{PC: 1}, {PC: 2}, {PC: 3}}, Times: 2}
 	var got []uint64
-	var in Inst
-	for src.Next(&in) {
-		got = append(got, in.PC)
+	for w := src.Window(); len(w) > 0; w = src.Window() {
+		k := min(len(w), 2)
+		got = append(got, pcs(w[:k])...)
+		src.Advance(k)
 	}
-	if len(got) != 6 {
-		t.Fatalf("Repeat yielded %d instructions, want 6", len(got))
-	}
-	if got[0] != 1 || got[5] != 2 {
-		t.Fatalf("sequence = %v", got)
+	if !slices.Equal(got, []uint64{1, 2, 3, 1, 2, 3}) {
+		t.Fatalf("strided sequence = %v", got)
 	}
 }
 
 func TestRepeatForever(t *testing.T) {
 	src := &Repeat{Insts: []Inst{{PC: 7}}}
-	var in Inst
 	for i := 0; i < 10000; i++ {
-		if !src.Next(&in) || in.PC != 7 {
+		w := src.Window()
+		if len(w) != 1 || w[0].PC != 7 {
 			t.Fatal("unbounded Repeat ended early")
 		}
+		src.Advance(1)
 	}
 }
 
 func TestRepeatEmpty(t *testing.T) {
 	src := &Repeat{}
-	var in Inst
-	if src.Next(&in) {
+	if w := src.Window(); len(w) != 0 {
 		t.Fatal("empty Repeat returned an instruction")
 	}
 }

@@ -37,21 +37,33 @@ func convert(t *testing.T, format string, input []byte, opts Options) ([]byte, S
 	return out.Bytes(), st
 }
 
+// decode replays a converted capture through an arena, as a sweep
+// replays it.
 func decode(t *testing.T, wct []byte) (trace.Header, []trace.Inst) {
 	t.Helper()
-	r, err := trace.NewReader(bytes.NewReader(wct))
+	h, insts, err := load(filepath.Join(t.TempDir(), "out"+trace.FileExt), wct)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return h, insts
+}
+
+// load writes wct to path and decodes it through a fresh arena: its
+// header and records, or the header error or the deferred decode error.
+func load(path string, wct []byte) (trace.Header, []trace.Inst, error) {
+	if err := os.WriteFile(path, wct, 0o644); err != nil {
+		return trace.Header{}, nil, err
+	}
+	src, err := trace.NewArena(0).Load(path)
+	if err != nil {
+		return trace.Header{}, nil, err
+	}
 	var insts []trace.Inst
-	var in trace.Inst
-	for r.Next(&in) {
-		insts = append(insts, in)
+	for w := src.Window(); len(w) > 0; w = src.Window() {
+		insts = append(insts, w...)
+		src.Advance(len(w))
 	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-	return r.Header(), insts
+	return src.Header(), insts, src.Err()
 }
 
 // TestGoldenRoundTrips converts each checked-in sample and requires the
@@ -299,6 +311,20 @@ func TestConvertDeterministic(t *testing.T) {
 	}
 }
 
+// sliceSource is a Next-only Source over a slice: the producer an
+// exporter reads.
+type sliceSource struct {
+	insts []trace.Inst
+}
+
+func (s *sliceSource) Next(out *trace.Inst) bool {
+	if len(s.insts) == 0 {
+		return false
+	}
+	*out, s.insts = s.insts[0], s.insts[1:]
+	return true
+}
+
 // TestExportImportRoundTrip pushes a crafted internal stream out through
 // each exporter and back through the matching importer. Formats carry
 // different information, so the invariants differ: counts are preserved
@@ -321,7 +347,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ext bytes.Buffer
-			n, err := exp(&ext, trace.NewMemSource(src, trace.Header{}), 0)
+			n, err := exp(&ext, &sliceSource{insts: src}, 0)
 			if err != nil || n != int64(len(src)) {
 				t.Fatalf("export wrote %d insts, err %v", n, err)
 			}

@@ -6,7 +6,8 @@
 //
 //	objects/<hh>/<hash>.wct   the trace bytes, named by their own hash
 //	refs/<hash>/<owner>       one empty file per ref-count owner
-//	tmp/                      staging area for in-flight Puts
+//	tmp/                      staging area for in-flight Puts; Open
+//	                          removes files a killed Put left there
 //
 // where <hh> is the first two hex digits of the hash (fan-out so no
 // directory grows unboundedly). Objects are immutable once written: a Put
@@ -47,14 +48,39 @@ type Store struct {
 	root string
 }
 
-// Open returns a Store rooted at dir, creating the layout if needed.
+// Open returns a Store rooted at dir, creating the layout if needed, and
+// removes the staging files a killed Put abandoned in tmp/.
 func Open(dir string) (*Store, error) {
 	for _, sub := range []string{"objects", "refs", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("tracestore: %w", err)
 		}
 	}
+	removeStale(filepath.Join(dir, "tmp"), time.Now().Add(-staleStaging))
 	return &Store{root: dir}, nil
+}
+
+// staleStaging is how long a staging file in tmp/ may go unmodified
+// before Open removes it. A Put removes its staging file when it returns,
+// so one left behind belongs to a process killed mid-Put, and can hold up
+// to a whole upload. Every write a live Put makes refreshes the file's
+// modification time, so a file untouched this long belongs to no Put in
+// progress, in this process or a cooperating one.
+const staleStaging = 24 * time.Hour
+
+// removeStale removes the regular files in dir last modified before
+// cutoff. It is best effort: a file another process removes first, or one
+// that cannot be removed, is left to the next Open.
+func removeStale(dir string, cutoff time.Time) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		if fi, err := e.Info(); err == nil && fi.Mode().IsRegular() && fi.ModTime().Before(cutoff) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 // Root returns the store's root directory.
@@ -124,10 +150,8 @@ func (s *Store) put(r io.Reader, want string) (created bool, hash string, n int6
 	// outright. Mid-stream corruption is deliberately allowed through —
 	// the .wct error-deferral contract (errors surface at the consumption
 	// point) applies to stored objects exactly as to local files.
-	if f, err := trace.Open(tmpPath); err != nil {
+	if _, err := trace.ReadHeader(tmpPath); err != nil {
 		return false, "", n, fmt.Errorf("tracestore: not a valid trace: %w", err)
-	} else {
-		f.Close()
 	}
 
 	dst := s.objectPath(hash)

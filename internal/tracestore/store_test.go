@@ -147,6 +147,37 @@ func TestPutExpected(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesStaleStaging leaves two staging files in tmp/, as Puts
+// killed before their cleanup would: Open removes the one untouched for
+// longer than staleStaging and keeps the fresh one, which may belong to a
+// cooperating process's Put in progress.
+func TestOpenRemovesStaleStaging(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	aged := filepath.Join(dir, "tmp", "put-aged"+trace.FileExt)
+	fresh := filepath.Join(dir, "tmp", "put-fresh"+trace.FileExt)
+	for _, p := range []string{aged, fresh} {
+		if err := os.WriteFile(p, []byte("partial upload"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-staleStaging - time.Minute)
+	if err := os.Chtimes(aged, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(aged); !os.IsNotExist(err) {
+		t.Errorf("aged staging file survived Open: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh staging file removed by Open: %v", err)
+	}
+}
+
 func TestPutRejectsNonTrace(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -296,10 +327,10 @@ func TestStoreServesArenaLoadRef(t *testing.T) {
 	if h := src.Header(); h.Benchmark != "gcc" || h.Insts != 40 {
 		t.Fatalf("replayed header %+v", h)
 	}
-	var in trace.Inst
 	count := 0
-	for src.Next(&in) {
-		count++
+	for w := src.Window(); len(w) > 0; w = src.Window() {
+		count += len(w)
+		src.Advance(len(w))
 	}
 	if count != 40 || src.Err() != nil {
 		t.Fatalf("replayed %d records, err %v", count, src.Err())

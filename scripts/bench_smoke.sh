@@ -18,8 +18,8 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 go test -bench . -benchtime=1x -benchmem -run '^$' . | tee "$out"
-# The trace decode path (Reader.Next and the arena's bulk load) and the
-# arena replay's window expansion.
+# The trace decode path (the arena's whole-file load) and the arena
+# replay's window expansion.
 go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/trace
 # core.Run replaying each suite stream under every d-cache policy (ns/inst),
 # and the result codec guard: BenchmarkDecodeResult and
