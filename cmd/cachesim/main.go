@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"waycache/internal/access"
 	"waycache/internal/core"
@@ -36,27 +37,20 @@ import (
 	"waycache/internal/tracestore"
 )
 
-var dPolicies = map[string]access.DPolicy{
-	"parallel":         access.DParallel,
-	"sequential":       access.DSequential,
-	"waypred-pc":       access.DWayPredPC,
-	"waypred-xor":      access.DWayPredXOR,
-	"seldm+parallel":   access.DSelDMParallel,
-	"seldm+waypred":    access.DSelDMWayPred,
-	"seldm+sequential": access.DSelDMSequential,
-	"waypred-mru":      access.DWayPredMRU,
-}
-
-var iPolicies = map[string]access.IPolicy{
-	"parallel": access.IParallel,
-	"waypred":  access.IWayPred,
+// policyFlag lists policy names for a flag's help text.
+func policyFlag[P fmt.Stringer](pols []P) string {
+	names := make([]string, len(pols))
+	for i, p := range pols {
+		names[i] = p.String()
+	}
+	return strings.Join(names, "|")
 }
 
 func main() {
 	bench := flag.String("bench", "gcc", "benchmark name (see workload suite)")
 	tracePath := flag.String("trace", "", "replay a captured trace file instead of walking -bench's generator")
-	dpol := flag.String("dpolicy", "parallel", "d-cache policy: parallel|sequential|waypred-pc|waypred-xor|seldm+parallel|seldm+waypred|seldm+sequential")
-	ipol := flag.String("ipolicy", "parallel", "i-cache policy: parallel|waypred")
+	dpol := flag.String("dpolicy", "parallel", "d-cache policy: "+policyFlag(sweep.AllDPolicies()))
+	ipol := flag.String("ipolicy", "parallel", "i-cache policy: "+policyFlag(sweep.AllIPolicies()))
 	insts := flag.Int64("insts", 1_000_000, "instructions to simulate")
 	dsize := flag.Int("dsize", 16<<10, "d-cache size in bytes")
 	dways := flag.Int("dways", 4, "d-cache associativity")
@@ -67,12 +61,12 @@ func main() {
 	traceStoreDir := flag.String("tracestore", "", "content-addressed trace store directory; lets -trace name a trace://<sha256> reference")
 	flag.Parse()
 
-	dp, ok := dPolicies[*dpol]
+	dp, ok := access.DPolicyNamed(*dpol)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown -dpolicy %q\n", *dpol)
 		os.Exit(2)
 	}
-	ip, ok := iPolicies[*ipol]
+	ip, ok := access.IPolicyNamed(*ipol)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown -ipolicy %q\n", *ipol)
 		os.Exit(2)

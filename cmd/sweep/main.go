@@ -128,8 +128,8 @@ func run() error {
 		if store, db, err = sweep.OpenDiskStore(*storeDir); err != nil {
 			return err
 		}
-		// Close writes the index snapshot; results are already durable in
-		// the log, so a close failure is worth a warning, not a bad exit.
+		// Close only releases the log; results are already durable in it,
+		// so a close failure is worth a warning, not a bad exit.
 		defer func() {
 			if cerr := db.Close(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "sweep: closing store:", cerr)

@@ -137,9 +137,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// Close writes the index snapshot. Ingested results are already in
-		// the log, unsynced (a crash of this process keeps them, power loss
-		// may not), so a close failure warns rather than fails.
+		// Close only releases the log. Ingested results are already in it,
+		// unsynced (a crash of this process keeps them, power loss may
+		// not), so a close failure warns rather than fails.
 		defer func() {
 			if cerr := db.Close(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "sweepctl: closing store:", cerr)

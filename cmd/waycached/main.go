@@ -30,8 +30,6 @@
 //	                                    distributed coordinator (sweepctl)
 //	GET    /api/v1/jobs/{id}/events     Server-Sent Events progress stream
 //	                                    (terminal status event, then EOF)
-//	POST   /api/v1/admin/compact        compact the on-disk result log
-//	                                    (-store only)
 //	GET    /api/v1/traces               list stored trace hashes (-tracestore)
 //	GET    /api/v1/traces/{hash}        download a stored trace (HEAD probes)
 //	PUT    /api/v1/traces/{hash}        upload a trace under its sha256
@@ -131,7 +129,6 @@ func run() error {
 		}
 		defer db.Close()
 		opts.Store = store
-		opts.Compactor = db
 		fmt.Fprintf(os.Stderr, "waycached: store %s holds %d results\n", *storeDir, store.Len())
 	} else {
 		opts.Store = sweep.NewStore()

@@ -16,13 +16,13 @@ func (p DPolicy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String())
 // UnmarshalJSON implements json.Unmarshaler, accepting a policy name or an
 // integer enum value.
 func (p *DPolicy) UnmarshalJSON(data []byte) error {
-	if cand, ok := dPolicyNamed(string(quotedName(data))); ok {
+	if cand, ok := DPolicyNamed(string(quotedName(data))); ok {
 		*p = cand
 		return nil
 	}
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
-		if cand, ok := dPolicyNamed(s); ok {
+		if cand, ok := DPolicyNamed(s); ok {
 			*p = cand
 			return nil
 		}
@@ -45,13 +45,13 @@ func (p IPolicy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String())
 // UnmarshalJSON implements json.Unmarshaler, accepting a policy name or an
 // integer enum value.
 func (p *IPolicy) UnmarshalJSON(data []byte) error {
-	if cand, ok := iPolicyNamed(string(quotedName(data))); ok {
+	if cand, ok := IPolicyNamed(string(quotedName(data))); ok {
 		*p = cand
 		return nil
 	}
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
-		if cand, ok := iPolicyNamed(s); ok {
+		if cand, ok := IPolicyNamed(s); ok {
 			*p = cand
 			return nil
 		}
@@ -80,7 +80,9 @@ func quotedName(data []byte) []byte {
 	return nil
 }
 
-func dPolicyNamed(name string) (DPolicy, bool) {
+// DPolicyNamed returns the d-cache policy whose String is name: the one
+// name lookup behind JSON decoding and every policy flag.
+func DPolicyNamed(name string) (DPolicy, bool) {
 	for cand := DParallel; cand <= DWayPredMRU; cand++ {
 		if cand.String() == name {
 			return cand, true
@@ -89,7 +91,8 @@ func dPolicyNamed(name string) (DPolicy, bool) {
 	return 0, false
 }
 
-func iPolicyNamed(name string) (IPolicy, bool) {
+// IPolicyNamed returns the i-cache policy whose String is name.
+func IPolicyNamed(name string) (IPolicy, bool) {
 	for _, cand := range []IPolicy{IParallel, IWayPred} {
 		if cand.String() == name {
 			return cand, true

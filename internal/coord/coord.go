@@ -1359,8 +1359,9 @@ func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (fligh
 // bestEffort sends one control request once and ignores the answer: the
 // cancel that starts an abandon (its follower confirms the outcome, so a
 // retry would only eat the fixed abandon budget) and the eviction of a
-// terminal job (a leaked one is reclaimed by the host's own compaction,
-// not worth retry backoff).
+// terminal job (if the DELETE is lost, the job keeps its results in the
+// host's memory until the host restarts or someone evicts it: a bounded
+// cost, not worth retry backoff).
 func (c *run) bestEffort(ctx context.Context, method, url string) {
 	rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
@@ -1368,7 +1369,7 @@ func (c *run) bestEffort(ctx context.Context, method, url string) {
 	if err != nil {
 		return
 	}
-	//wclint:retry-ok best-effort single shot: abandon's follower confirms a cancel within its fixed budget, and a leaked eviction is reclaimed by host compaction
+	//wclint:retry-ok best-effort single shot: abandon's follower confirms a cancel within its fixed budget, and a lost eviction only keeps a terminal job's results on the host until it restarts or the job is evicted
 	if resp, err := c.client.Do(req); err == nil {
 		resp.Body.Close()
 	}

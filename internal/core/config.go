@@ -13,7 +13,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 
 	"waycache/internal/access"
 	"waycache/internal/cache"
@@ -235,7 +237,13 @@ func (c Config) traceSource() (trace.WindowSource, string, func() error, error) 
 		src, err = trace.SharedArena().Load(c.Trace)
 	}
 	if err != nil {
-		return nil, "", nil, err
+		// Name the trace, as trace.ReadHeader does, unless the error is
+		// the file system's and names it already.
+		var pe *fs.PathError
+		if errors.As(err, &pe) && pe.Path == c.Trace {
+			return nil, "", nil, err
+		}
+		return nil, "", nil, fmt.Errorf("%s: %w", c.Trace, err)
 	}
 	h := src.Header()
 	if h.Insts > 0 && h.Insts < c.Insts {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -127,6 +128,31 @@ func TestReplayShortUndeclaredTrace(t *testing.T) {
 	want := fmt.Sprintf("trace ended after %d of %d instructions", have, need)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("short replay error %v, want it to contain %q", err, want)
+	}
+}
+
+// TestReplayErrorsNameTheTrace: a file that is not a trace and a capture
+// cut short both fail the run with an error naming the file.
+func TestReplayErrorsNameTheTrace(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad"+trace.FileExt)
+	if err := os.WriteFile(bad, []byte("NOPE\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const insts = 5_000
+	cut := captureBench(t, dir, "gcc", insts)
+	data, err := os.ReadFile(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cut, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{bad, cut} {
+		_, err := Run(Config{Trace: path, Insts: insts})
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("Run(%s) = %v, want an error naming the file", filepath.Base(path), err)
+		}
 	}
 }
 

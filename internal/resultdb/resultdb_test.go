@@ -1,6 +1,7 @@
 package resultdb
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 // testResults simulates a few tiny distinct runs once for the whole suite.
 var testResults []*core.Result
 
-func results(t *testing.T) []*core.Result {
+func results(t testing.TB) []*core.Result {
 	t.Helper()
 	if testResults == nil {
 		for _, cfg := range []core.Config{
@@ -32,7 +33,7 @@ func results(t *testing.T) []*core.Result {
 	return testResults
 }
 
-func keyOf(t *testing.T, r *core.Result) string {
+func keyOf(t testing.TB, r *core.Result) string {
 	t.Helper()
 	key, ok := r.Config.Key()
 	if !ok {
@@ -81,59 +82,26 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReopenWithAndWithoutIndex(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir)
+// appendLog appends raw records to the closed store's log in dir, the way
+// an older build's writes would have landed.
+func appendLog(t testing.TB, dir string, recs ...[]byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, LogName), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	keys := fill(t, db)
-	if err := db.Close(); err != nil { // writes the index snapshot
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, IndexName)); err != nil {
-		t.Fatalf("Close left no index: %v", err)
-	}
-
-	check := func(label string) {
-		t.Helper()
-		db, err := Open(dir)
-		if err != nil {
-			t.Fatalf("%s: Open: %v", label, err)
-		}
-		defer db.Close()
-		if db.Len() != len(keys) {
-			t.Errorf("%s: Len = %d, want %d", label, db.Len(), len(keys))
-		}
-		if got := db.Keys(); !reflect.DeepEqual(got, keys) {
-			t.Errorf("%s: Keys = %v, want %v", label, got, keys)
-		}
-		for _, key := range keys {
-			if _, found, err := db.Get(key); !found || err != nil {
-				t.Errorf("%s: Get(%q): found=%v err=%v", label, key, found, err)
-			}
-		}
-	}
-
-	check("with index")
-
-	// The index is an optimization only: the store must reopen identically
-	// from the log alone (crash before Close never wrote one).
-	if err := os.Remove(filepath.Join(dir, IndexName)); err != nil {
 		t.Fatal(err)
 	}
-	check("without index")
-
-	// A corrupt index must be ignored, not trusted.
-	if err := os.WriteFile(filepath.Join(dir, IndexName), []byte("WCRIgarbage"), 0o644); err != nil {
-		t.Fatal(err)
+	defer f.Close()
+	for _, rec := range recs {
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	check("corrupt index")
 }
 
-func TestStaleIndexCatchesUp(t *testing.T) {
-	// Crash pattern: index snapshot from an earlier Close, then more Puts,
-	// then no Close. Open must replay the snapshot and scan the rest.
+// TestReopenAfterCloseAndCrash: the log alone reopens the store, with every
+// key in log order, after a clean Close and after a crash with no Close
+// alike, and nothing but the log is ever written.
+func TestReopenAfterCloseAndCrash(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
 	if err != nil {
@@ -147,26 +115,94 @@ func TestStaleIndexCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+	check := func(label string, keys []string) *DB {
+		t.Helper()
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", label, err)
+		}
+		if db.Len() != len(keys) {
+			t.Errorf("%s: Len = %d, want %d", label, db.Len(), len(keys))
+		}
+		if got := db.Keys(); !reflect.DeepEqual(got, keys) {
+			t.Errorf("%s: Keys = %v, want %v", label, got, keys)
+		}
+		for _, key := range keys {
+			if _, found, err := db.Get(key); !found || err != nil {
+				t.Errorf("%s: Get(%q): found=%v err=%v", label, key, found, err)
+			}
+		}
+		return db
 	}
-	keys := fill(t, db) // first key deduplicates; two fresh records
-	// Simulate a crash: no Close, index still covers only the first record.
-	db.f.Close()
+
+	db = check("after Close", []string{keyOf(t, first)})
+	keys := fill(t, db) // the first key deduplicates; two fresh records
+	db.f.Close()        // a crash: no Close
+
+	db = check("after crash", keys)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after crash and Close", keys).Close()
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{LogName}; !reflect.DeepEqual(names, want) {
+		t.Errorf("store directory holds %v, want only the log (no results.idx)", names)
+	}
+}
+
+// TestDeleteAndReopen: a tombstone an older build wrote (its Delete) is
+// replayed on Open: the key stays deleted, a tombstone for an absent key
+// changes nothing, and a later Put revives the key at the log's end.
+func TestDeleteAndReopen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fill(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	victim := keys[1]
+	appendLog(t, dir, appendRecord("no-such-key", nil), appendRecord(victim, nil))
 
 	db, err = Open(dir)
 	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
+		t.Fatal(err)
+	}
+	if _, found, _ := db.Get(victim); found {
+		t.Error("deleted key resurfaced on reopen")
+	}
+	want := []string{keys[0], keys[2]}
+	if got := db.Keys(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Keys after the tombstone = %v, want %v", got, want)
+	}
+	// Supersession: the deleted key accepts a fresh record.
+	if err := db.Put(victim, results(t)[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.Len() != len(keys) {
-		t.Errorf("Len after stale-index reopen = %d, want %d", db.Len(), len(keys))
+	want = append(want, victim)
+	if got := db.Keys(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Keys after the revival = %v, want %v", got, want)
 	}
-	for _, key := range keys {
-		if _, found, err := db.Get(key); !found || err != nil {
-			t.Errorf("Get(%q) after stale-index reopen: found=%v err=%v", key, found, err)
-		}
+	if _, found, err := db.Get(victim); err != nil || !found {
+		t.Fatalf("re-Put key not readable: found=%v err=%v", found, err)
 	}
 }
 
@@ -177,7 +213,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	keys := fill(t, db)
-	db.f.Close() // crash: no index snapshot
+	db.f.Close() // crash: no Close
 
 	logPath := filepath.Join(dir, LogName)
 	intact, err := os.ReadFile(logPath)
@@ -202,9 +238,6 @@ func TestTornTailRecovery(t *testing.T) {
 		{"garbage tail", func(b []byte) []byte { return append(append([]byte(nil), b...), "partial"...) }, len(keys)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// A crash writes no index snapshot; drop any left by a previous
-			// subtest's clean Close so recovery exercises the log alone.
-			os.Remove(filepath.Join(dir, IndexName))
 			if err := os.WriteFile(logPath, tc.mut(append([]byte(nil), intact...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -336,6 +369,73 @@ func BenchmarkGet(b *testing.B) {
 		if _, found, err := db.Get("bench-key"); !found || err != nil {
 			b.Fatalf("found=%v err=%v", found, err)
 		}
+	}
+}
+
+// BenchmarkOpen measures reopening a store of 1,500 records of real
+// result payloads under real configuration keys: one full log scan.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs := results(b)
+	for i := range 1500 {
+		r := rs[i%len(rs)]
+		if err := db.Put(fmt.Sprintf("%s#%d", keyOf(b, r), i), r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for range b.N {
+		db, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if db.Len() != 1500 {
+			b.Fatalf("reopened %d records, want 1500", db.Len())
+		}
+		db.Close()
+	}
+}
+
+// TestOpenReadsVersion1Log: a log an older build wrote under format
+// version 1 opens, and appending to it keeps its header.
+func TestOpenReadsVersion1Log(t *testing.T) {
+	dir := t.TempDir()
+	r := results(t)[0]
+	payload, err := core.EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := append([]byte(Magic), 1)
+	log = append(log, appendRecord(keyOf(t, r), payload)...)
+	if err := os.WriteFile(filepath.Join(dir, LogName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if got, found, err := db.GetEncoded(keyOf(t, r)); err != nil || !found || string(got) != string(payload) {
+		t.Fatalf("GetEncoded: found=%v err=%v", found, err)
+	}
+	if err := db.Put("fresh-key", r); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, log) {
+		t.Error("appending rewrote the version-1 log's existing bytes")
 	}
 }
 

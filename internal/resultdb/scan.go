@@ -2,6 +2,7 @@ package resultdb
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -13,16 +14,15 @@ import (
 // holds at least one key, so a single larger payload makes its own chunk).
 const scanChunkBytes = 1 << 18
 
-// chunk is a run of consecutive snapshot keys on its way through Scan:
-// read under the lock, decoded, then delivered to fn. Chunks are reused,
-// buffers included.
+// chunk is a run of consecutive snapshot records on its way through Scan:
+// read, decoded, then delivered to fn. Chunks are reused, buffers
+// included.
 type chunk struct {
-	keys  []string // a window of the key snapshot
-	spans []span   // each key's payload in buf; n == 0: deleted since the snapshot
-	buf   []byte
+	log   []entry // a window of the snapshot
+	buf   []byte  // their payloads, back to back
 	res   []*core.Result
-	stop  int   // entries before the first error, len(keys) if none
-	err   error // the first read or decode error, at keys[stop]
+	stop  int   // entries before the first error, len(log) if none
+	err   error // the first read or decode error, at log[stop]
 	ready chan struct{}
 }
 
@@ -32,18 +32,18 @@ type chunk struct {
 // in log order stops it too, after fn has seen exactly the entries before
 // it.
 //
-// Scan snapshots the keys once and walks them in chunks of consecutive
-// keys holding about scanChunkBytes of payload. Each chunk is read under
-// the lock, one payload at a time into the chunk's buffer, so it sees
-// exactly the bytes GetEncoded would at that moment. A key deleted after the snapshot is
-// skipped, a key superseded after it is delivered with its new value at
-// its old place, and a Compact between chunks is harmless because every
-// chunk looks its spans up afresh. GOMAXPROCS(0) workers decode chunks
+// Scan snapshots the stored records once and walks them in chunks of
+// consecutive records holding about scanChunkBytes of payload. A record
+// never moves once written, so each chunk reads its payloads from the
+// snapshot's offsets without the lock, and a Put during the scan only adds
+// records the snapshot does not see. GOMAXPROCS(0) workers decode chunks
 // while fn consumes earlier ones; at most workers+2 chunks are in flight,
 // so memory stays bounded whatever the store's size. With GOMAXPROCS 1
 // the caller decodes each chunk itself. No goroutine outlives Scan.
 func (db *DB) Scan(fn func(key string, res *core.Result) error) error {
-	keys := db.Keys()
+	db.mu.Lock()
+	log := db.log[:len(db.log):len(db.log)] // Put appends past the snapshot, never inside it
+	db.mu.Unlock()
 	window, todo := 1, chan *chunk(nil)
 	if workers := runtime.GOMAXPROCS(0); workers > 1 {
 		window = workers + 2
@@ -62,15 +62,15 @@ func (db *DB) Scan(fn func(key string, res *core.Result) error) error {
 		defer func() { close(todo); wg.Wait() }()
 	}
 	var inflight, free []*chunk // inflight in log order
-	for next := 0; next < len(keys) || len(inflight) > 0; {
-		for len(inflight) < window && next < len(keys) {
+	for next := 0; next < len(log) || len(inflight) > 0; {
+		for len(inflight) < window && next < len(log) {
 			var c *chunk
 			if n := len(free); n > 0 {
 				c, free = free[n-1], free[:n-1]
 			} else {
 				c = &chunk{ready: make(chan struct{}, 1)}
 			}
-			next = db.readChunk(c, keys, next)
+			next = c.read(db.f, log, next)
 			if todo == nil {
 				c.decode()
 			} else {
@@ -91,65 +91,51 @@ func (db *DB) Scan(fn func(key string, res *core.Result) error) error {
 	return nil
 }
 
-// readChunk loads into c the keys from keys[lo:] whose payloads, as the
-// index holds them now, fit in scanChunkBytes, and returns where the next
-// chunk starts. Each payload is read on its own, which pins a read error
-// on its key.
-func (db *DB) readChunk(c *chunk, keys []string, lo int) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c.spans, c.err = c.spans[:0], nil
-	var payload int64
+// read loads into c the records from log[lo:] whose payloads fit in
+// scanChunkBytes, and returns where the next chunk starts. Each payload is
+// read on its own, which pins a read error on its key.
+func (c *chunk) read(f *os.File, log []entry, lo int) int {
+	var size int64
 	hi := lo
-	for ; hi < len(keys); hi++ {
-		sp := db.index[keys[hi]] // the zero span once deleted
-		if payload > 0 && payload+sp.n > scanChunkBytes {
+	for ; hi < len(log); hi++ {
+		if size > 0 && size+log[hi].n > scanChunkBytes {
 			break
 		}
-		payload += sp.n
-		c.spans = append(c.spans, sp)
+		size += log[hi].n
 	}
-	c.keys, c.stop = keys[lo:hi], hi-lo
+	c.log, c.stop, c.err = log[lo:hi], hi-lo, nil
 	c.res = slices.Grow(c.res[:0], hi-lo)[:hi-lo]
-	c.buf = slices.Grow(c.buf[:0], int(payload))[:payload]
+	c.buf = slices.Grow(c.buf[:0], int(size))[:size]
 	var at int64
-	for i, sp := range c.spans {
-		if sp.n == 0 {
-			continue
-		}
-		if _, err := db.f.ReadAt(c.buf[at:at+sp.n], sp.off); err != nil {
+	for i, e := range c.log {
+		if _, err := f.ReadAt(c.buf[at:at+e.n], e.off); err != nil {
 			c.stop, c.err = i, fmt.Errorf("resultdb: reading record: %w", err)
 			break
 		}
-		c.spans[i].off = at
-		at += sp.n
+		at += e.n
 	}
 	return hi
 }
 
 // decode decodes c's payloads up to its first error.
 func (c *chunk) decode() {
-	for i, sp := range c.spans[:c.stop] {
-		if sp.n == 0 {
-			continue
-		}
-		res, err := core.DecodeResult(c.buf[sp.off : sp.off+sp.n])
+	var at int64
+	for i, e := range c.log[:c.stop] {
+		res, err := core.DecodeResult(c.buf[at : at+e.n])
 		if err != nil {
 			c.stop, c.err = i, fmt.Errorf("resultdb: %w", err)
 			return
 		}
 		c.res[i] = res
+		at += e.n
 	}
 }
 
 // deliver hands c's results to fn in order and returns fn's error, or
 // else c's own.
 func (c *chunk) deliver(fn func(key string, res *core.Result) error) error {
-	for i, key := range c.keys[:c.stop] {
-		if c.spans[i].n == 0 {
-			continue
-		}
-		if err := fn(key, c.res[i]); err != nil {
+	for i, e := range c.log[:c.stop] {
+		if err := fn(e.key, c.res[i]); err != nil {
 			return err
 		}
 	}

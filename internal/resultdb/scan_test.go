@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -87,53 +88,65 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestScanMatchesSerialReads: over a store of many chunks, with a sparse
-// stretch of deleted records and superseded keys, Scan delivers exactly
-// what a serial GetEncoded and DecodeResult loop reads, in log order.
+// stretch of deleted records and superseded keys that an older build's
+// tombstones left in the log, Scan delivers exactly what a serial
+// GetEncoded and DecodeResult loop reads, in log order, before and after
+// fresh appends.
 func TestScanMatchesSerialReads(t *testing.T) {
-	db, err := Open(t.TempDir())
+	dir := t.TempDir()
+	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	keys := bigStore(t, db, 6)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// Keep one key in four across a stretch of more than one chunk, so
-	// garbage makes the chunks there sparse.
+	// dead records make the chunks there sparse.
+	var recs [][]byte
 	for i := len(keys) / 4; i < len(keys)/2; i++ {
 		if i%4 != 0 {
-			if _, err := db.Delete(keys[i]); err != nil {
-				t.Fatal(err)
-			}
+			recs = append(recs, appendRecord(keys[i], nil))
 		}
 	}
 	// Supersede a few keys with another result: they move to the log's end.
-	other := results(t)[0]
-	for i := 1; i < len(keys); i += len(keys) / 5 {
-		if _, err := db.Delete(keys[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Put(keys[i], other); err != nil {
-			t.Fatal(err)
-		}
+	other, err := core.EncodeResult(results(t)[0])
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 1; i < len(keys); i += len(keys) / 5 {
+		recs = append(recs, appendRecord(keys[i], nil), appendRecord(keys[i], other))
+	}
+	appendLog(t, dir, recs...)
+	if db, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	want := serialScan(t, db)
 	atProcs(t, func(t *testing.T) {
 		if got := scanAll(t, db); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Scan delivered %d entries unlike the %d a serial read gives", len(got), len(want))
 		}
 	})
-	if _, err := db.Compact(); err != nil {
-		t.Fatal(err)
+	// Records this build appends land after the replayed ones.
+	for i, r := range results(t) {
+		if err := db.Put(fmt.Sprintf("appended%d", i), r); err != nil {
+			t.Fatal(err)
+		}
 	}
+	want = serialScan(t, db)
 	atProcs(t, func(t *testing.T) {
 		if got := scanAll(t, db); !reflect.DeepEqual(got, want) {
-			t.Fatal("Scan after Compact differs from the serial read before it")
+			t.Fatal("Scan after appends to a replayed log differs from a serial read")
 		}
 	})
 }
 
-// TestScanRacesWriters: Put, Delete and Compact run while Scans do.
-// Every delivered result must be one its key held at some point, and no
-// key may be delivered twice.
+// TestScanRacesWriters: Puts of fresh keys run while Scans and Gets do.
+// Every scan must deliver the keys stored before it in log order, then at
+// most a prefix of the fresh ones, each with the result its key holds,
+// and Get must read each fresh key a scan delivered the same way.
 func TestScanRacesWriters(t *testing.T) {
 	db, err := Open(t.TempDir())
 	if err != nil {
@@ -142,15 +155,20 @@ func TestScanRacesWriters(t *testing.T) {
 	defer db.Close()
 	keys := bigStore(t, db, 3)
 	rs := results(t)
-	held := make(map[string][]*core.Result, len(keys)) // every value a key can hold
-	for i, key := range keys {
+	held := make(map[string]*core.Result, len(keys))
+	for _, key := range keys {
 		r, _, err := db.Get(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		alt := *rs[(i+1)%len(rs)]
-		alt.Config = alt.Config.Canonical()
-		held[key] = []*core.Result{r, &alt}
+		held[key] = r
+	}
+	fresh := make([]string, 2000)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("fresh%05d", i)
+		r := *rs[i%len(rs)]
+		r.Config = r.Config.Canonical()
+		held[fresh[i]] = &r
 	}
 
 	stop := make(chan struct{})
@@ -158,41 +176,36 @@ func TestScanRacesWriters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for n := 0; ; n++ {
+		for _, key := range fresh {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			key := keys[(n*7919)%len(keys)]
-			if _, err := db.Delete(key); err != nil {
+			if err := db.Put(key, held[key]); err != nil {
 				t.Error(err)
 				return
 			}
-			if n%2 == 0 {
-				if err := db.Put(key, held[key][n/2%2]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if n%50 == 0 {
-				if _, err := db.Compact(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
 		}
 	}()
+	order := slices.Concat(keys, fresh)
 	atProcs(t, func(t *testing.T) {
 		for range 3 {
-			seen := map[string]bool{}
-			for _, s := range scanAll(t, db) {
-				if seen[s.key] {
-					t.Fatalf("Scan delivered %q twice", s.key)
+			got := scanAll(t, db)
+			if len(got) < len(keys) {
+				t.Fatalf("Scan delivered %d entries, fewer than the %d stored before it", len(got), len(keys))
+			}
+			for i, s := range got {
+				if s.key != order[i] {
+					t.Fatalf("entry %d is %q, want %q", i, s.key, order[i])
 				}
-				seen[s.key] = true
-				if ok := reflect.DeepEqual(s.res, held[s.key][0]) || reflect.DeepEqual(s.res, held[s.key][1]); !ok {
+				if !reflect.DeepEqual(s.res, held[s.key]) {
 					t.Fatalf("Scan delivered a result %q never held", s.key)
+				}
+				if i >= len(keys) {
+					if r, found, err := db.Get(s.key); err != nil || !found || !reflect.DeepEqual(r, held[s.key]) {
+						t.Fatalf("Get(%q) during Puts: found=%v err=%v", s.key, found, err)
+					}
 				}
 			}
 		}

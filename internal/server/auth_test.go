@@ -1,14 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
-
-	"waycache/internal/sweep"
 )
 
 func authedGet(t *testing.T, url, token string) *http.Response {
@@ -172,71 +169,4 @@ func TestRateLimitHTTP(t *testing.T) {
 	if resp := authedGet(t, ts.URL+"/healthz", ""); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz rate-limited: %d", resp.StatusCode)
 	}
-}
-
-// TestAdminCompact: the admin endpoint compacts the disk-backed log
-// online — reclaimed bytes reported, live results still served — and is
-// refused without a disk store.
-func TestAdminCompact(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, _ := post(t, ts.URL+"/api/v1/admin/compact")
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("compact without disk store = %d, want 409", resp.StatusCode)
-	}
-
-	dir := t.TempDir()
-	store, db, err := sweep.OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{Workers: 4, Store: store, Compactor: db})
-	tsd := httptest.NewServer(srv)
-	t.Cleanup(func() { tsd.Close(); srv.Close(); db.Close() })
-
-	st := submit(t, tsd.URL, testGridJSON)
-	pollDone(t, tsd.URL, st.ID)
-	keys := db.Keys()
-	if len(keys) == 0 {
-		t.Fatal("disk store empty after a finished job")
-	}
-	if ok, err := db.Delete(keys[0]); err != nil || !ok {
-		t.Fatalf("Delete: %v %v", ok, err)
-	}
-	before := db.Garbage()
-	if before == 0 {
-		t.Fatal("no garbage after delete")
-	}
-
-	creq, err := http.NewRequest(http.MethodPost, tsd.URL+"/api/v1/admin/compact", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp, err := http.DefaultClient.Do(creq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Live      int   `json:"live"`
-		Reclaimed int64 `json:"reclaimedBytes"`
-	}
-	if err := jsonDecode(cresp, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if cresp.StatusCode != http.StatusOK || stats.Reclaimed != before || stats.Live != len(keys)-1 {
-		t.Errorf("compact = %d %+v, want 200 with reclaimed=%d live=%d", cresp.StatusCode, stats, before, len(keys)-1)
-	}
-	if g := db.Garbage(); g != 0 {
-		t.Errorf("garbage after compact = %d, want 0", g)
-	}
-	// The store still serves every surviving record.
-	for _, key := range db.Keys() {
-		if _, found, err := db.Get(key); err != nil || !found {
-			t.Errorf("post-compact Get(%q): found=%v err=%v", key, found, err)
-		}
-	}
-}
-
-func jsonDecode(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }

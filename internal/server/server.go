@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"waycache/internal/core"
-	"waycache/internal/resultdb"
 	"waycache/internal/sweep"
 	"waycache/internal/trace"
 	"waycache/internal/tracestore"
@@ -90,10 +89,6 @@ type Options struct {
 	// endpoint except /healthz, in both auth modes.
 	RatePerSec float64
 	RateBurst  int
-	// Compactor, when non-nil, exposes the disk store's log compaction
-	// as POST /api/v1/admin/compact (cmd/waycached passes its
-	// resultdb.DB). Nil — an in-memory store — refuses the endpoint.
-	Compactor Compactor
 	// TraceDir, when non-empty, lets jobs replay captured traces (see
 	// sweep.Options.TraceDir). Benchmarks that fall back to the walker are
 	// reported per job (JobStatus.TraceFallbacks), never silently.
@@ -104,13 +99,6 @@ type Options struct {
 	// are refused and referencing jobs fall back per benchmark (see
 	// sweep.Options.TraceStore).
 	TraceStore *tracestore.Store
-}
-
-// Compactor is the slice of resultdb.DB the admin compaction endpoint
-// needs: trigger a compaction, report reclaimable garbage.
-type Compactor interface {
-	Compact() (resultdb.CompactStats, error)
-	Garbage() int64
 }
 
 // Server implements the HTTP API. Create with New, serve with net/http,
@@ -175,7 +163,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/results", s.handleJobResults)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/export", s.handleJobExport)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("POST /api/v1/admin/compact", s.handleAdminCompact)
 	s.mux.HandleFunc("GET /api/v1/traces", s.handleTraceList)
 	s.mux.HandleFunc("GET /api/v1/traces/{hash}", s.handleTraceGet)
 	s.mux.HandleFunc("PUT /api/v1/traces/{hash}", s.handleTracePut)
@@ -953,31 +940,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"residentBytes": arena.ResidentBytes(),
 		},
 	}
-	if c := s.opts.Compactor; c != nil {
-		resp["garbageBytes"] = c.Garbage()
-	}
 	if err := s.store.BackendErr(); err != nil {
 		resp["storeError"] = err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleAdminCompact triggers an online compaction of the disk-backed
-// result log (resultdb.Compact): live records are preserved
-// byte-for-byte while tombstoned garbage is reclaimed, with the store
-// serving reads and writes throughout.
-func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Compactor == nil {
-		writeError(w, http.StatusConflict,
-			errors.New("this host has no disk store to compact (start waycached with -store)"))
-		return
-	}
-	stats, err := s.opts.Compactor.Compact()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, stats)
 }
 
 // queryRecords returns the request's filtered view of the corpus, in

@@ -7,8 +7,8 @@ import (
 // OpenDiskStore opens (creating as needed) the on-disk result database in
 // dir and returns a Store whose in-memory tier fronts it: lookups hit
 // memory first, then the log; fresh simulations append to the log as they
-// finish. Close the returned DB when done — it writes the index snapshot
-// that makes the next open cheap (results are durable either way).
+// finish. Close the returned DB when done to release the log's lock
+// (results are durable in the log either way).
 func OpenDiskStore(dir string) (*Store, *resultdb.DB, error) {
 	db, err := resultdb.Open(dir)
 	if err != nil {

@@ -284,17 +284,11 @@ func ParseDPolicies(s string) ([]access.DPolicy, error) {
 	}
 	var pols []access.DPolicy
 	for _, name := range splitList(s) {
-		found := false
-		for _, p := range AllDPolicies() {
-			if p.String() == name {
-				pols = append(pols, p)
-				found = true
-				break
-			}
-		}
-		if !found {
+		p, ok := access.DPolicyNamed(name)
+		if !ok {
 			return nil, fmt.Errorf("sweep: unknown d-cache policy %q (have %s or all)", name, policyNames())
 		}
+		pols = append(pols, p)
 	}
 	return pols, nil
 }
@@ -307,17 +301,11 @@ func ParseIPolicies(s string) ([]access.IPolicy, error) {
 	}
 	var pols []access.IPolicy
 	for _, name := range splitList(s) {
-		found := false
-		for _, p := range AllIPolicies() {
-			if p.String() == name {
-				pols = append(pols, p)
-				found = true
-				break
-			}
-		}
-		if !found {
+		p, ok := access.IPolicyNamed(name)
+		if !ok {
 			return nil, fmt.Errorf("sweep: unknown i-cache policy %q (have parallel, waypred or all)", name)
 		}
+		pols = append(pols, p)
 	}
 	return pols, nil
 }

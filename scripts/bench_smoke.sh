@@ -1,10 +1,10 @@
 #!/bin/sh
 # Bench smoke: one iteration of every top-level benchmark, of the trace
-# decode benchmarks and of the core benchmarks with -benchmem, and of the
-# corpus-fill benchmark at one and two CPUs, proving the
-# harness runs end to end and the custom metrics (ed_*, accuracies,
-# ns/inst) keep computing — plus a perf regression tripwire on the
-# headline pipeline benchmark.
+# decode benchmarks and of the core benchmarks with -benchmem, of the
+# corpus-fill benchmark at one and two CPUs, and of the result store's
+# Open, proving the harness runs end to end and the custom metrics (ed_*,
+# accuracies, ns/inst) keep computing — plus a perf regression tripwire
+# on the headline pipeline benchmark.
 #
 # BenchmarkTable5's single-iteration time is compared against the baseline
 # committed in BENCH_PR8.json. The comparison only *fails* the build when
@@ -28,6 +28,8 @@ go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/core
 # A cold query-corpus fill, at one CPU (the result store's serial scan)
 # and at two (its parallel decode).
 go test -run '^$' -bench StoreRecords -benchtime=1x -cpu 1,2 ./internal/sweep
+# Reopening a result store of 1,500 records: Open's one full log scan.
+go test -run '^$' -bench '^BenchmarkOpen$' -benchtime=1x ./internal/resultdb
 
 t5=$(awk '/^BenchmarkTable5/ {print $3; exit}' "$out")
 if [ -z "$t5" ]; then

@@ -6,7 +6,8 @@
 # CSV) to be identical to what the offline cmd/sweep CLI emits
 # *serially* (-workers 1) for the same grid — the determinism contract
 # at any budget. Also checks corpus queries (/results, /aggregate), auth
-# enforcement and online log compaction.
+# enforcement, and that a SIGKILLed server restarted on its store serves
+# the same corpus bytes.
 # Run from the repo root; CI runs it on every push.
 set -euo pipefail
 
@@ -20,19 +21,23 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 go build -o "$WORK/waycached" ./cmd/waycached
 go build -o "$WORK/sweep" ./cmd/sweep
 
-"$WORK/waycached" -addr "$ADDR" -store "$WORK/store" -workers 4 \
-  -auth-tokens "ci=$TOKEN" >"$WORK/server.log" 2>&1 &
-SERVER_PID=$!
-
-for i in $(seq 1 50); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  if [ "$i" = 50 ]; then
-    echo "waycached never became healthy:" >&2
-    cat "$WORK/server.log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
+# start_server runs waycached over $WORK/store and waits until it is
+# healthy; $1 names its log.
+start_server() {
+  "$WORK/waycached" -addr "$ADDR" -store "$WORK/store" -workers 4 \
+    -auth-tokens "ci=$TOKEN" >"$WORK/$1" 2>&1 &
+  SERVER_PID=$!
+  for i in $(seq 1 50); do
+    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if [ "$i" = 50 ]; then
+      echo "waycached never became healthy:" >&2
+      cat "$WORK/$1" >&2
+      exit 1
+    fi
+    sleep 0.2
+  done
+}
+start_server server.log
 
 # Auth is enforced: no token is 401 with a Bearer challenge, while
 # /healthz stays open for probes (verified above).
@@ -159,17 +164,22 @@ CODE=$(curl -s -o "$WORK/aggregate.csv" -w '%{http_code}' "${AUTH[@]}" \
   exit 1
 }
 
-# Online compaction answers with stats (a fresh store has no garbage to
-# reclaim) and must not disturb the served corpus.
-COMPACT=$(curl -sf "${AUTH[@]}" -X POST "$BASE/api/v1/admin/compact")
-echo "$COMPACT" | grep -q '"reclaimedBytes"' || {
-  echo "compact response missing stats: $COMPACT" >&2
+# Restart: SIGKILL the server (no Close, no clean shutdown) and start it
+# again on the same -store. Its one recovery path, the scan of the result
+# log, must serve the corpus query byte for byte as before the kill.
+{ kill -KILL "$SERVER_PID" && wait "$SERVER_PID"; } 2>/dev/null || true
+start_server server-restarted.log
+grep -q 'holds [1-9][0-9]* results' "$WORK/server-restarted.log" || {
+  echo "restarted waycached recalled no results:" >&2
+  cat "$WORK/server-restarted.log" >&2
   exit 1
 }
-curl -sf "${AUTH[@]}" "$BASE/api/v1/jobs/$ID1/results" >"$WORK/served-after-compact.json"
-cmp "$WORK/served.json" "$WORK/served-after-compact.json" || {
-  echo "compaction changed served results" >&2
-  exit 1
-}
+for FMT in json csv; do
+  curl -sf "${AUTH[@]}" "$BASE/api/v1/results?$QUERY&format=$FMT" >"$WORK/query-restarted.$FMT"
+  cmp "$WORK/query.$FMT" "$WORK/query-restarted.$FMT" || {
+    echo "/results?$QUERY ($FMT) changed across a SIGKILL and restart" >&2
+    exit 1
+  }
+done
 
-echo "waycached smoke test: OK (jobs $ID1 $ID2 $ID3 concurrent at budget 4, served and queried bytes identical to serial cmd/sweep)"
+echo "waycached smoke test: OK (jobs $ID1 $ID2 $ID3 concurrent at budget 4, served and queried bytes identical to serial cmd/sweep, corpus unchanged across a SIGKILL restart)"
