@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"waycache/internal/access"
@@ -98,10 +99,92 @@ func appendLog(t testing.TB, dir string, recs ...[]byte) {
 	}
 }
 
-// TestReopenAfterCloseAndCrash: the log alone reopens the store, with every
-// key in log order, after a clean Close and after a crash with no Close
-// alike, and nothing but the log is ever written.
-func TestReopenAfterCloseAndCrash(t *testing.T) {
+// oldIndexName is the sidecar index snapshot older builds wrote beside the
+// log on Close. This build neither reads nor writes it.
+const oldIndexName = "results.idx"
+
+// reopenAndCheck opens the store in dir and checks it holds exactly keys,
+// in log order, each readable. The caller closes the returned DB.
+func reopenAndCheck(t *testing.T, dir, label string, keys []string) *DB {
+	t.Helper()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("%s: Open: %v", label, err)
+	}
+	if db.Len() != len(keys) {
+		t.Errorf("%s: Len = %d, want %d", label, db.Len(), len(keys))
+	}
+	if got := db.Keys(); !reflect.DeepEqual(got, keys) {
+		t.Errorf("%s: Keys = %v, want %v", label, got, keys)
+	}
+	for _, key := range keys {
+		if _, found, err := db.Get(key); !found || err != nil {
+			t.Errorf("%s: Get(%q): found=%v err=%v", label, key, found, err)
+		}
+	}
+	return db
+}
+
+// checkOnlyLog fails unless the store directory holds the log and, when
+// leftover is set, that file an older build left there: nothing else is
+// ever written.
+func checkOnlyLog(t *testing.T, dir, leftover string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{LogName}
+	if leftover != "" {
+		want = append(want, leftover)
+		sort.Strings(want) // ReadDir returns names sorted
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("store directory holds %v, want %v", names, want)
+	}
+}
+
+// TestReopenWithAndWithoutIndex: after a clean Close the log alone reopens
+// the store with every key in log order; Close writes no index, and an
+// index file an older build left beside the log, valid-looking or corrupt,
+// is ignored rather than trusted.
+func TestReopenWithAndWithoutIndex(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	keys := fill(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	checkOnlyLog(t, dir, "")
+
+	reopenAndCheck(t, dir, "without index", keys).Close()
+	checkOnlyLog(t, dir, "")
+
+	// An older build's index that covers none of the records: Open must
+	// not take its (empty) key set over the log's.
+	if err := os.WriteFile(filepath.Join(dir, oldIndexName), []byte("WCRI\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopenAndCheck(t, dir, "with index", keys).Close()
+
+	if err := os.WriteFile(filepath.Join(dir, oldIndexName), []byte("WCRIgarbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopenAndCheck(t, dir, "corrupt index", keys).Close()
+	checkOnlyLog(t, dir, oldIndexName)
+}
+
+// TestStaleIndexCatchesUp: a crash with no Close after more Puts loses
+// nothing; Open scans the whole log, whatever index an older build left
+// from an earlier Close.
+func TestStaleIndexCatchesUp(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
 	if err != nil {
@@ -114,48 +197,21 @@ func TestReopenAfterCloseAndCrash(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	check := func(label string, keys []string) *DB {
-		t.Helper()
-		db, err := Open(dir)
-		if err != nil {
-			t.Fatalf("%s: Open: %v", label, err)
-		}
-		if db.Len() != len(keys) {
-			t.Errorf("%s: Len = %d, want %d", label, db.Len(), len(keys))
-		}
-		if got := db.Keys(); !reflect.DeepEqual(got, keys) {
-			t.Errorf("%s: Keys = %v, want %v", label, got, keys)
-		}
-		for _, key := range keys {
-			if _, found, err := db.Get(key); !found || err != nil {
-				t.Errorf("%s: Get(%q): found=%v err=%v", label, key, found, err)
-			}
-		}
-		return db
+	// The stale snapshot an older build's Close would have left.
+	if err := os.WriteFile(filepath.Join(dir, oldIndexName), []byte("WCRI\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	db = check("after Close", []string{keyOf(t, first)})
+	db = reopenAndCheck(t, dir, "after Close", []string{keyOf(t, first)})
 	keys := fill(t, db) // the first key deduplicates; two fresh records
 	db.f.Close()        // a crash: no Close
 
-	db = check("after crash", keys)
+	db = reopenAndCheck(t, dir, "after crash", keys)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("after crash and Close", keys).Close()
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if want := []string{LogName}; !reflect.DeepEqual(names, want) {
-		t.Errorf("store directory holds %v, want only the log (no results.idx)", names)
-	}
+	reopenAndCheck(t, dir, "after crash and Close", keys).Close()
+	checkOnlyLog(t, dir, oldIndexName)
 }
 
 // TestDeleteAndReopen: a tombstone an older build wrote (its Delete) is
