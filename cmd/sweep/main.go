@@ -8,7 +8,7 @@
 //	sweep -benchmarks gcc,swim -dpolicies parallel,seldm+waypred -dlatencies 1,2 -format csv
 //	sweep -dsizes 8k,16k,32k,64k -dpolicies seldm+waypred -insts 1000000
 //	sweep -benchmarks all -dways 1,4 -shard 0/4   # first quarter of the grid
-//	sweep -benchmarks all -dpolicies all -trace traces   # replay captures
+//	sweep -benchmarks gcc,swim -traces gcc=trace://<sha256> -tracestore traces/
 //	sweep -benchmarks all -dpolicies all -store results/   # incremental runs
 //
 // With -store naming a directory, results are memoized in the crash-safe
@@ -17,14 +17,16 @@
 // byte-identical output — and an overlapping grid simulates only its new
 // cells.
 //
-// With -trace naming a directory of captured trace files (written by
-// tracegen -capture, one <benchmark>.wct per benchmark), cells whose
-// benchmark has a valid capture covering -insts replay it instead of
-// re-walking the generator — identical records, no generation cost.
-// Benchmarks without a usable capture fall back to the walker, and every
-// fallback is reported on stderr with its reason (missing file, stale
-// seed, too few instructions) so a -trace run that re-simulated is
-// visible, never silent.
+// Every cell of a suite benchmark replays one in-process capture of the
+// benchmark's walker stream, built once per process, so a sweep builds
+// and walks each program once rather than once per cell. With -traces
+// mapping benchmarks to content-addressed trace://<sha256> references
+// (printed by tracegen -capture -store) and -tracestore naming the store
+// that holds them, those benchmarks replay the stored captures instead —
+// identical records for a faithful capture. A reference that cannot be
+// used (no store, missing or unreadable object, too few instructions)
+// falls back to the suite benchmark's own stream, and every fallback is
+// reported on stderr with its reason, never silently.
 //
 // The grid is the cartesian product of every dimension flag; omitted
 // dimensions stay at the paper's Table 1 defaults. Output (JSON or CSV)
@@ -61,7 +63,6 @@ func main() {
 func run() error {
 	gridFlags := sweep.RegisterGridFlags(flag.CommandLine)
 	storeDir := flag.String("store", "", "directory of the on-disk result store; repeated runs recall results instead of re-simulating")
-	traceDir := flag.String("trace", "", "directory of captured traces (<benchmark>.wct); matching benchmarks replay instead of re-walking")
 	traceStore := flag.String("tracestore", "", "content-addressed trace store directory resolving trace://<hash> references (-traces)")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel simulations")
 	shard := flag.String("shard", "", "run only shard i of n contiguous grid shards, as 'i/n'")
@@ -116,7 +117,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := sweep.Options{Workers: *workers, TraceDir: *traceDir}
+	opts := sweep.Options{Workers: *workers}
 	if *traceStore != "" {
 		if opts.TraceStore, err = tracestore.Open(*traceStore); err != nil {
 			return err
@@ -151,9 +152,9 @@ func run() error {
 	if err := sw.WriteOutput(*out, *format); err != nil {
 		return err
 	}
-	// A -trace run that reverted to the walker anywhere must say so: the
-	// records are identical either way, but the run cost (and what the
-	// operator believes happened) is not.
+	// A -traces run that reverted to the walker's stream anywhere must
+	// say so: the records are identical for a faithful capture, but what
+	// the operator believes was replayed is not.
 	for _, line := range sweep.FormatFallbacks(eng.TraceFallbacks()) {
 		fmt.Fprintf(os.Stderr, "sweep: warning: replayed from walker — %s\n", line)
 	}

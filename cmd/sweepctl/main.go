@@ -34,7 +34,8 @@
 // docs/DISTRIBUTED.md.
 //
 // Grids may replay content-addressed traces: -traces maps benchmarks to
-// trace://<sha256> references (printed by traceconv on import), and
+// trace://<sha256> references (printed by traceconv on import and by
+// tracegen -capture -store), and
 // before any span is submitted the coordinator pushes every referenced
 // trace to the hosts that lack it — from the local -tracestore, or
 // relayed from whichever host already has it — so no host needs a
@@ -42,9 +43,9 @@
 // date is dropped from the run up front; late joiners get the same
 // treatment before their first span.
 //
-// Benchmarks that a remote host re-simulated from the walker instead of
-// replaying a capture are reported per span on stderr — a distributed
-// -trace run never falls back silently.
+// Benchmarks whose reference a remote host could not replay, so that it
+// ran the suite benchmark's own stream instead, are reported per span on
+// stderr — a distributed -traces run never falls back silently.
 //
 // Span progress streams over each host's Server-Sent Events endpoint
 // (GET /api/v1/jobs/{id}/events); hosts whose stream cannot be

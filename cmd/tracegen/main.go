@@ -5,10 +5,12 @@
 // mix, or (with -dump) a disassembly-style listing of the first
 // instructions. With -capture it instead records the first -n instructions
 // to a trace file (versioned varint-delta binary; byte-level spec in
-// docs/TRACE_FORMAT.md) that cachesim -trace, sweep -trace and
-// core.Config.Trace replay in place of the live generator — the replayed
-// stream is identical to the walker's, so results match byte for byte
-// while skipping all generation cost.
+// docs/TRACE_FORMAT.md) that cachesim -trace and core.Config.Trace replay
+// in place of the live generator — the replayed stream is identical to the
+// walker's, so results match byte for byte. With -store the captures are
+// filed in a content-addressed trace store instead, and tracegen prints
+// their -traces mapping (gcc=trace://<sha256>,...) on stdout, which sweep,
+// sweepctl and waycached jobs replay by reference.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@
 //	tracegen -bench li -dump 40                         # listing
 //	tracegen -bench gcc -n 1000000 -capture -o traces/gcc.wct
 //	tracegen -capture -all -n 1000000 -o traces         # whole suite
+//	tracegen -capture -all -n 1000000 -store traces/    # prints -traces
 package main
 
 import (
@@ -23,9 +26,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"waycache/internal/isa"
 	"waycache/internal/trace"
+	"waycache/internal/tracestore"
 	"waycache/internal/workload"
 )
 
@@ -36,10 +41,11 @@ func main() {
 	capture := flag.Bool("capture", false, "capture the first -n instructions to a trace file")
 	all := flag.Bool("all", false, "with -capture: capture every suite benchmark (-o names a directory)")
 	out := flag.String("o", "", "capture output path (default <bench>.wct, or a directory with -all)")
+	storeDir := flag.String("store", "", "with -capture: file the captures in this content-addressed trace store and print their -traces mapping")
 	flag.Parse()
 
 	if *capture {
-		if err := captureTraces(*bench, *all, *out, *n); err != nil {
+		if err := captureTraces(*bench, *all, *out, *storeDir, *n); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -94,31 +100,49 @@ func main() {
 }
 
 // captureTraces records n instructions of one benchmark (or, with all set,
-// of every suite benchmark) into replayable trace files.
-func captureTraces(bench string, all bool, out string, n int64) error {
+// of every suite benchmark) into replayable trace files, or files them in
+// the content-addressed store at storeDir and prints their -traces
+// mapping.
+func captureTraces(bench string, all bool, out, storeDir string, n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("tracegen: -capture needs a positive -n, got %d", n)
 	}
-	var profiles []workload.Profile
-	if all {
-		profiles = workload.Suite()
-		if out == "" {
-			out = "."
-		}
-		if err := os.MkdirAll(out, 0o755); err != nil {
-			return err
-		}
-	} else {
+	profiles := workload.Suite()
+	if !all {
 		p, err := workload.ByName(bench)
 		if err != nil {
 			return err
 		}
 		profiles = []workload.Profile{p}
 	}
+	dir, report := "", os.Stdout // where the files go when there are several, and the log
+	var store *tracestore.Store
+	var refs []string
+	var err error
+	switch {
+	case storeDir != "" && out != "":
+		return fmt.Errorf("tracegen: -o and -store are mutually exclusive")
+	case storeDir != "":
+		if store, err = tracestore.Open(storeDir); err != nil {
+			return err
+		}
+		if dir, err = os.MkdirTemp("", "tracegen-"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		report = os.Stderr
+	case all:
+		if dir = out; dir == "" {
+			dir = "."
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+	}
 	for _, p := range profiles {
 		path := out
-		if all {
-			path = filepath.Join(out, p.Name+trace.FileExt)
+		if dir != "" {
+			path = filepath.Join(dir, p.Name+trace.FileExt)
 		} else if path == "" {
 			path = p.Name + trace.FileExt
 		}
@@ -129,8 +153,20 @@ func captureTraces(bench string, all bool, out string, n int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("captured %-8s %d instructions -> %s (%d bytes, %.2f B/inst)\n",
-			p.Name, n, path, fi.Size(), float64(fi.Size())/float64(n))
+		dest := path
+		if store != nil {
+			hash, _, err := store.PutFile(path)
+			if err != nil {
+				return err
+			}
+			dest = trace.FormatRef(hash)
+			refs = append(refs, p.Name+"="+dest)
+		}
+		fmt.Fprintf(report, "captured %-8s %d instructions -> %s (%d bytes, %.2f B/inst)\n",
+			p.Name, n, dest, fi.Size(), float64(fi.Size())/float64(n))
+	}
+	if store != nil {
+		fmt.Println(strings.Join(refs, ","))
 	}
 	return nil
 }

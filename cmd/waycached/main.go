@@ -6,12 +6,15 @@
 // Usage:
 //
 //	waycached -addr :8080 -store results/
-//	waycached -addr 127.0.0.1:9090 -workers 8 -trace traces/
+//	waycached -addr 127.0.0.1:9090 -workers 8 -tracestore traces/
 //
 // With -store the service fronts the crash-safe on-disk result database in
 // that directory (internal/resultdb): results survive restarts, and the
 // corpus written by offline `sweep -store` runs is immediately servable.
 // Without it, results live only in process memory.
+//
+// With -tracestore the service stores content-addressed traces and
+// replays the trace://<sha256> references a job's TraceRefs carry.
 //
 // Endpoints (full reference with examples in docs/HTTP_API.md):
 //
@@ -83,7 +86,6 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "", "directory of the on-disk result store (empty: memory only)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "global simulation budget: max concurrent simulations across all jobs")
-	traceDir := flag.String("trace", "", "directory of captured traces (<benchmark>.wct) to replay")
 	traceStoreDir := flag.String("tracestore", "", "content-addressed trace store directory: serves /api/v1/traces and resolves trace:// job references")
 	authTokens := flag.String("auth-tokens", "", "comma-separated name=token bearer credentials; empty runs the service open")
 	authTokensFile := flag.String("auth-tokens-file", "", "file of name=token lines (#-comments allowed); reloaded on SIGHUP and on mtime change, so tokens rotate without a restart")
@@ -91,7 +93,7 @@ func run() error {
 	burst := flag.Int("burst", 0, "rate-limit burst size (default 16)")
 	flag.Parse()
 
-	opts := server.Options{Workers: *workers, TraceDir: *traceDir, RatePerSec: *rate, RateBurst: *burst}
+	opts := server.Options{Workers: *workers, RatePerSec: *rate, RateBurst: *burst}
 	switch {
 	case *authTokens != "" && *authTokensFile != "":
 		return fmt.Errorf("-auth-tokens and -auth-tokens-file are mutually exclusive")

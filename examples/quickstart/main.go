@@ -9,13 +9,13 @@
 // anything bigger, go through the parallel sweep engine instead of
 // looping over core.Run yourself: internal/sweep expands declarative
 // grids onto a worker pool, memoizes shared baselines, and emits
-// deterministic JSON/CSV (cmd/sweep is its CLI). Repeated runs can also
-// skip workload generation entirely by replaying captured traces:
-// record once with `tracegen -bench gcc -capture`, then pass the file
-// via core.Config.Trace, `cachesim -trace`, or a trace directory via
-// sweep.Options.TraceDir / `sweep -trace` — results are byte-identical
-// to walking the generator. See docs/ARCHITECTURE.md for the package
-// map and docs/TRACE_FORMAT.md for the capture format.
+// deterministic JSON/CSV (cmd/sweep is its CLI). Both runs below replay
+// one in-process capture of gcc's walker stream. Captures can also be
+// filed: record with `tracegen -bench gcc -capture`, replay via
+// core.Config.Trace or `cachesim -trace`, or add `-store DIR` and pass
+// the printed mapping to `sweep -traces ... -tracestore DIR` — results
+// are byte-identical to walking the generator. See docs/ARCHITECTURE.md
+// for the package map and docs/TRACE_FORMAT.md for the capture format.
 package main
 
 import (

@@ -157,8 +157,8 @@ type ShardReport struct {
 	// Speculative marks a piece won by a rescue flight.
 	Stolen      bool
 	Speculative bool
-	// TraceFallbacks relays the remote engine's walker-fallback report
-	// (benchmark -> reason) so a distributed -trace run that re-simulated
+	// TraceFallbacks relays the remote engine's trace fallback report
+	// (benchmark -> reason) so a distributed -traces run that re-simulated
 	// somewhere is visible at the coordinator.
 	TraceFallbacks map[string]string
 	// Warnings carries non-fatal anomalies touching this span: abandoned

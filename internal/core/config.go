@@ -31,7 +31,8 @@ import (
 // 1024-entry prediction tables, 16-entry victim list.
 type Config struct {
 	// Benchmark names a workload.Suite profile. Leave empty and set Source
-	// or Trace to drive the simulator from a custom stream.
+	// or Trace to drive the simulator from a custom stream; without them
+	// a run replays the process-wide capture of the benchmark's walker.
 	Benchmark string
 	// Source is an optional custom stream (overrides Benchmark and Trace);
 	// wrap a Next-only generator with trace.Windowed. A config driving one
@@ -42,7 +43,7 @@ type Config struct {
 	// Trace is the path of a captured trace file (trace.Writer format; see
 	// docs/TRACE_FORMAT.md), or a content-addressed "trace://<sha256>"
 	// reference resolved through TraceStore. When set, the simulation
-	// replays the capture instead of walking Benchmark's generator — the
+	// replays the capture instead of Benchmark's own stream — the
 	// pipeline consumes the identical instruction stream either way, so
 	// results match a live run of the captured workload byte for byte. The
 	// capture must hold at least Insts instructions; when Benchmark is also
@@ -182,9 +183,8 @@ func (c Config) costsFor(size, ways, block int) (energy.Costs, error) {
 }
 
 // source builds the trace source. The returned finish func, nil except
-// for a replayed capture, reports once the run has drained the source
-// whether the capture ran dry: its deferred decode error, or its short
-// length.
+// for c.Trace, reports once the run has drained the source whether the
+// trace ran dry: its deferred decode error, or its short length.
 func (c Config) source() (src trace.WindowSource, name string, finish func() error, err error) {
 	if c.Source != nil {
 		name := c.Benchmark
@@ -203,14 +203,13 @@ func (c Config) source() (src trace.WindowSource, name string, finish func() err
 	if err != nil {
 		return nil, "", nil, err
 	}
-	return trace.NewLimit(trace.Windowed(p.NewWalker(), sourceWindow), c.Insts), p.Name, nil, nil
+	h := trace.Header{Benchmark: p.Name, Seed: p.Seed, Insts: c.Insts}
+	capture, err := trace.SharedArena().Capture(h, func() trace.Source { return p.NewWalker() })
+	if err != nil {
+		return nil, "", nil, err
+	}
+	return trace.NewLimit(capture, c.Insts), p.Name, nil, nil
 }
-
-// sourceWindow is the generate-ahead buffer (in instructions) put in front
-// of live walkers, since the pipeline fetches only from windows. Replayed
-// captures window natively and bypass it. 512 instructions is ~24KB: far
-// past the fetch stride, far below any cache budget that matters.
-const sourceWindow = 512
 
 // traceSource resolves the captured trace named by c.Trace through the
 // process-wide arena — each file is decoded once and every run replays the

@@ -203,8 +203,8 @@ type Pipeline struct {
 	nextWay access.WayPred
 }
 
-// New builds a pipeline. src is read through its windows (trace.Windowed
-// adapts a plain Source); dc and ic must be freshly constructed
+// New builds a pipeline. src is read through its windows (core.Run hands
+// it an arena replay); dc and ic must be freshly constructed
 // controllers; fe the front end whose BTB/RAS/SAWP carry way predictions.
 func New(cfg Config, src trace.WindowSource, dc access.DController, ic *access.ICache, fe *branch.FrontEnd) *Pipeline {
 	if cfg.ROBSize <= 0 || cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 ||

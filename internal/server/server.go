@@ -89,10 +89,6 @@ type Options struct {
 	// endpoint except /healthz, in both auth modes.
 	RatePerSec float64
 	RateBurst  int
-	// TraceDir, when non-empty, lets jobs replay captured traces (see
-	// sweep.Options.TraceDir). Benchmarks that fall back to the walker are
-	// reported per job (JobStatus.TraceFallbacks), never silently.
-	TraceDir string
 	// TraceStore, when non-nil, serves and accepts content-addressed
 	// traces over /api/v1/traces/{hash} and resolves the trace://<hash>
 	// references jobs carry in Grid.TraceRefs. Without it, trace uploads
@@ -237,7 +233,6 @@ func (s *Server) runJob(j *job) {
 	eng := sweep.New(sweep.Options{
 		Workers:    s.opts.Workers,
 		Store:      s.store,
-		TraceDir:   s.opts.TraceDir,
 		TraceStore: s.opts.TraceStore,
 		Progress:   j.setProgress,
 		OnResult:   j.noteResult,
@@ -320,9 +315,10 @@ type JobStatus struct {
 	// reaches Total when the job is done.
 	Watermark int    `json:"watermark,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// TraceFallbacks maps each benchmark that re-simulated from the
-	// walker (instead of replaying its capture) to the reason. Empty when
-	// every benchmark replayed or the server has no trace directory.
+	// TraceFallbacks maps each benchmark whose trace:// reference the
+	// job could not use (so that it ran the suite benchmark's own stream)
+	// to the reason. Empty when every reference resolved or the job
+	// carries none.
 	TraceFallbacks map[string]string `json:"traceFallbacks,omitempty"`
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 	"waycache/internal/core"
 	"waycache/internal/sweep"
 	"waycache/internal/trace"
-	"waycache/internal/workload"
+	"waycache/internal/tracestore"
 )
 
 // testGridJSON is the grid every end-to-end test submits: small, two
@@ -567,15 +566,20 @@ func TestExportRequiresNamedOrSpanJob(t *testing.T) {
 	}
 }
 
-// TestServerSurfacesTraceFallbacks: a waycached with a trace directory
-// that covers nothing must report the walker fallbacks per job, not hide
+// TestServerSurfacesTraceFallbacks: a waycached whose trace store holds
+// none of a job's references must report the fallbacks per job, not hide
 // them.
 func TestServerSurfacesTraceFallbacks(t *testing.T) {
-	srv := New(Options{Workers: 4, TraceDir: t.TempDir()})
+	ts0, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{Workers: 4, TraceStore: ts0})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	st := submit(t, ts.URL, testGridJSON)
+	ref := trace.FormatRef(strings.Repeat("ab", 32))
+	st := submit(t, ts.URL, `{"Benchmarks":["gcc","swim"],"Insts":2000,"TraceRefs":{"gcc":"`+ref+`","swim":"`+ref+`"}}`)
 	st = pollDone(t, ts.URL, st.ID)
 	if len(st.TraceFallbacks) != 2 {
 		t.Fatalf("TraceFallbacks = %v, want gcc and swim", st.TraceFallbacks)
@@ -587,29 +591,21 @@ func TestServerSurfacesTraceFallbacks(t *testing.T) {
 	}
 }
 
-// TestExportPortableAcrossTraceHosts: a trace-replaying host must export
-// payloads keyed and encoded under the submitted (walker) config — no
-// host-local trace path may leak into the canonical bytes, and the
-// payload's embedded config must produce exactly the key it is stored
-// under, or an importing corpus would hold records that disagree with
-// their own keys.
+// TestExportPortableAcrossTraceHosts: every host replays a suite
+// benchmark from its in-process capture, and must export payloads keyed
+// and encoded under the submitted config — no trace may leak into the
+// canonical bytes, and the payload's embedded config must produce exactly
+// the key it is stored under, or an importing corpus would hold records
+// that disagree with their own keys.
 func TestExportPortableAcrossTraceHosts(t *testing.T) {
-	dir := t.TempDir()
-	prof, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prof.CaptureFile(filepath.Join(dir, "gcc"+trace.FileExt), 5_000); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{Workers: 2, TraceDir: dir})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	st := submit(t, ts.URL, `{"Benchmarks":["gcc"],"Insts":5000,"name":"portable"}`)
 	st = pollDone(t, ts.URL, st.ID)
 	if len(st.TraceFallbacks) != 0 {
-		t.Fatalf("capture did not replay: %v", st.TraceFallbacks)
+		t.Fatalf("job without references reports fallbacks: %v", st.TraceFallbacks)
 	}
 
 	exp, resp := fetch(t, ts.URL+"/api/v1/jobs/"+st.ID+"/export")
@@ -625,7 +621,7 @@ func TestExportPortableAcrossTraceHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Config.Trace != "" {
-		t.Errorf("host-local trace path %q leaked into the exported payload", res.Config.Trace)
+		t.Errorf("trace %q leaked into the exported payload", res.Config.Trace)
 	}
 	key, ok := res.Config.Key()
 	if !ok || key != e.Key {

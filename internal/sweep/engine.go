@@ -45,19 +45,12 @@ type Options struct {
 	// need the longest finished prefix (the HTTP service's partial-export
 	// watermark) track it themselves.
 	OnResult func(index int, res *core.Result)
-	// TraceDir, when non-empty, resolves benchmark names to captured
-	// trace files (<dir>/<benchmark>.wct, written by tracegen -capture):
-	// jobs whose benchmark has a valid capture covering the run replay it
-	// instead of re-walking the generator, which skips all generation
-	// cost while producing identical results. Benchmarks without a usable
-	// capture fall back to the walker.
-	TraceDir string
 	// TraceStore, when non-nil, resolves content-addressed trace
 	// references (core.Config.Trace = "trace://<hash>", typically set by
 	// Grid.TraceRefs) to local files, verified against their hash on
-	// decode. References whose object is missing or unreadable fall back
-	// to the walker when the benchmark has one, with the reason reported
-	// through TraceFallbacks.
+	// decode. References whose object is missing, unreadable or too short
+	// fall back to the suite benchmark's own stream when there is one,
+	// with the reason reported through TraceFallbacks.
 	TraceStore *tracestore.Store
 	// Budget, when non-nil, is a shared simulation-admission budget:
 	// every actual simulation (never a memo hit or disk recall) acquires
@@ -94,7 +87,7 @@ func New(o Options) *Engine {
 	return &Engine{
 		workers: o.Workers, store: o.Store, progress: o.Progress,
 		onResult: o.OnResult,
-		traces:   newTraceResolver(o.TraceDir, o.TraceStore),
+		traces:   newTraceResolver(o.TraceStore),
 		budget:   o.Budget, owner: o.Owner,
 	}
 }
@@ -103,12 +96,12 @@ func New(o Options) *Engine {
 // sharing with other engines).
 func (e *Engine) Store() *Store { return e.store }
 
-// TraceFallbacks reports every benchmark that a TraceDir-enabled engine
-// re-simulated from the walker instead of replaying its capture, mapped to
-// the reason (missing file, stale seed, too few instructions, ...). Empty
-// when every resolved benchmark replayed, and nil when the engine has no
-// trace directory. Callers surface this so a -trace run that quietly
-// re-simulated is visible in summaries, not silent.
+// TraceFallbacks reports every benchmark whose trace:// reference the
+// engine could not use, so that it ran the suite benchmark's own stream
+// instead (or failed, for an imported workload), mapped to the reason
+// (no store, missing or unreadable object, too few instructions, ...).
+// Nil when every reference resolved. Callers surface this so a run that
+// quietly re-simulated is visible in summaries, not silent.
 func (e *Engine) TraceFallbacks() map[string]string { return e.traces.fallbackReport() }
 
 // result is the budget-aware lookup every worker uses: without a budget

@@ -11,18 +11,21 @@ import (
 	"waycache/internal/access"
 	"waycache/internal/sweep"
 	"waycache/internal/trace"
+	"waycache/internal/tracestore"
 	"waycache/internal/workload"
 )
 
-// ExampleEngine_replay captures a benchmark's instruction stream to a
-// trace file, then runs the same sweep twice — once walking the live
-// generator, once replaying the capture via Options.TraceDir — and shows
-// the two produce byte-identical records.
+// ExampleEngine_replay files a benchmark's captured instruction stream in
+// a content-addressed trace store, then runs the same sweep twice — once
+// from the benchmark's own stream, once replaying the stored capture by
+// reference through Grid.TraceRefs and Options.TraceStore — and shows the
+// two produce byte-identical records.
 func ExampleEngine_replay() {
 	const bench = "gcc"
 	const insts = 20_000
 
-	// Capture: what `tracegen -bench gcc -n 20000 -capture` does.
+	// Capture and store: what `tracegen -bench gcc -n 20000 -capture
+	// -store DIR` does.
 	dir, err := os.MkdirTemp("", "traces")
 	if err != nil {
 		log.Fatal(err)
@@ -34,6 +37,14 @@ func ExampleEngine_replay() {
 	}
 	path := filepath.Join(dir, bench+trace.FileExt)
 	if err := p.CaptureFile(path, insts); err != nil {
+		log.Fatal(err)
+	}
+	store, err := tracestore.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	hash, _, err := store.PutFile(path)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -48,7 +59,8 @@ func ExampleEngine_replay() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := sweep.New(sweep.Options{Workers: 2, TraceDir: dir}).Run(ctx, g)
+	g.TraceRefs = map[string]string{bench: trace.FormatRef(hash)}
+	replayed, err := sweep.New(sweep.Options{Workers: 2, TraceStore: store}).Run(ctx, g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,8 +86,8 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 	missing := trace.FormatRef(strings.Repeat("ab", 32))
 
 	t.Run("no-store", func(t *testing.T) {
-		// A resolver with only a trace dir still explains ref failures.
-		r := newTraceResolver(t.TempDir(), nil)
+		// A resolver without a store still explains ref failures.
+		r := newTraceResolver(nil)
 		cfg := r.resolve(coreCfg("gcc", missing))
 		if cfg.Trace != "" {
 			t.Fatalf("suite benchmark did not fall back to the walker: %+v", cfg)
@@ -103,7 +103,7 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newTraceResolver("", store)
+		r := newTraceResolver(store)
 		cfg := r.resolve(coreCfg("gcc", missing))
 		if cfg.Trace != "" {
 			t.Fatal("suite benchmark did not fall back to the walker")
@@ -125,7 +125,7 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 		if err := os.WriteFile(path, []byte("xx"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r := newTraceResolver("", store)
+		r := newTraceResolver(store)
 		cfg := r.resolve(coreCfg("gcc", ref))
 		if cfg.Trace != "" {
 			t.Fatal("suite benchmark did not fall back to the walker")
@@ -141,7 +141,7 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newTraceResolver("", store)
+		r := newTraceResolver(store)
 		cfg := r.resolve(coreCfg("spec-gcc-ref", missing))
 		if cfg.Trace != missing {
 			t.Fatalf("external workload must keep its reference (no walker exists), got %+v", cfg)
@@ -155,7 +155,7 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 
 	t.Run("short-capture", func(t *testing.T) {
 		store, ref := storeWithCapture(t, "gcc", 100)
-		r := newTraceResolver("", store)
+		r := newTraceResolver(store)
 		cfg := coreCfg("gcc", ref)
 		cfg.Insts = 5000
 		out := r.resolve(cfg)

@@ -19,11 +19,15 @@ package trace
 // deferred to MemSource.Err: a run that consumes fewer instructions than
 // the prefix holds never sees it. TestDecodeErrorTexts pins each error's
 // text and the prefix before it.
+//
+// The arena also holds in-process captures of generators (Capture), so
+// every run of a suite benchmark replays one copy of its walker stream.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -41,14 +45,16 @@ import (
 // of captures; least-recently-used files are evicted past the cap.
 const DefaultArenaCap = 384 << 20
 
-// Arena caches decoded trace files. Path-keyed entries (Load) are
-// invalidated when the file's size or modification time changes, so a
-// re-captured trace is re-decoded rather than served stale. Hash-keyed
-// entries (LoadRef) are content-addressed: the key IS the content, so the
-// same trace fetched to different paths decodes once, and the decode
-// verifies the bytes against the hash — an overwrite that preserves size
-// and mtime can never serve stale instructions under a hash key. The zero
-// value is not usable; use NewArena or the process-wide SharedArena.
+// Arena caches decoded trace files and in-process captures. Path-keyed
+// entries (Load) are invalidated when the file's size or modification
+// time changes, so a re-captured trace is re-decoded rather than served
+// stale. Hash-keyed entries (LoadRef) are content-addressed: the key IS
+// the content, so the same trace fetched to different paths decodes
+// once, and the decode verifies the bytes against the hash — an
+// overwrite that preserves size and mtime can never serve stale
+// instructions under a hash key. Capture entries are keyed by generator
+// name and seed. The zero value is not usable; use NewArena or the
+// process-wide SharedArena.
 type Arena struct {
 	mu       sync.Mutex
 	entries  map[string]*arenaEntry
@@ -77,8 +83,8 @@ func NewArena(capBytes int64) *Arena {
 
 var shared = NewArena(DefaultArenaCap)
 
-// SharedArena returns the process-wide arena used by core.Config.Trace
-// replay.
+// SharedArena returns the process-wide arena every core.Run replays
+// from: suite benchmarks' captures and core.Config.Trace files.
 func SharedArena() *Arena { return shared }
 
 // Load returns a MemSource replaying the decoded contents of the trace
@@ -92,17 +98,10 @@ func (a *Arena) Load(path string) (*MemSource, error) {
 		return nil, err
 	}
 
-	a.mu.Lock()
-	e := a.entries[path]
-	if e == nil || e.size != fi.Size() || !e.mtime.Equal(fi.ModTime()) {
-		if e != nil && e.lastUse != 0 {
-			a.resident -= e.t.bytes() // re-captured file: drop the stale decode
-		}
-		e = &arenaEntry{size: fi.Size(), mtime: fi.ModTime()}
-		a.entries[path] = e
-	}
-	a.mu.Unlock()
-
+	fresh := &arenaEntry{size: fi.Size(), mtime: fi.ModTime()}
+	e := a.entry(path, fresh, func(old *arenaEntry) bool {
+		return old.size != fresh.size || !old.mtime.Equal(fresh.mtime) // re-captured file
+	})
 	e.once.Do(func() { e.decode(path, "") })
 	return a.finish(path, e)
 }
@@ -122,17 +121,63 @@ func (a *Arena) LoadRef(path, sha256hex string) (*MemSource, error) {
 		return nil, fmt.Errorf("trace: invalid content hash %q", sha256hex)
 	}
 	key := "sha256:" + sha256hex
-
-	a.mu.Lock()
-	e := a.entries[key]
-	if e == nil {
-		e = &arenaEntry{}
-		a.entries[key] = e
-	}
-	a.mu.Unlock()
-
+	e := a.entry(key, &arenaEntry{}, func(*arenaEntry) bool { return false })
 	e.once.Do(func() { e.decode(path, sha256hex) })
 	return a.finish(key, e)
+}
+
+// maxCaptureInsts bounds a capture's length: a table numbers its
+// instructions in 32 bits, and a builder counts them in an int.
+const maxCaptureInsts = min(math.MaxUint32, math.MaxInt)
+
+// Capture returns a MemSource replaying the first h.Insts instructions
+// of the endless stream gen returns, which h.Benchmark and h.Seed name:
+// one capture then serves every request of its length or less. The first
+// request for a name, or one longer than its capture, drains gen into a
+// table once across all concurrent callers, replacing the shorter one.
+// Captures count against the cap like files and are rebuilt if evicted.
+func (a *Arena) Capture(h Header, gen func() Source) (*MemSource, error) {
+	if h.Insts > maxCaptureInsts {
+		return nil, fmt.Errorf("trace: a capture holds at most %d instructions, not %d", int64(maxCaptureInsts), h.Insts)
+	}
+	h.Insts = max(h.Insts, 0)
+	key := fmt.Sprintf("capture:%s:%#x", h.Benchmark, h.Seed)
+	e := a.entry(key, &arenaEntry{h: h}, func(old *arenaEntry) bool { return old.h.Insts < h.Insts })
+	e.once.Do(func() { e.t = captureTable(gen(), int(e.h.Insts)) })
+	return a.finish(key, e)
+}
+
+// captureTable builds the table of the first n instructions src yields,
+// or of all of them if it runs dry first, packing a window at a time,
+// with its constant addresses fixed.
+func captureTable(src Source, n int) table {
+	b := newTableBuilder(n)
+	var buf [expandRun]Inst
+	for k := len(buf); k == len(buf) && b.n < n; b.addInsts(buf[:k]) {
+		for k = 0; k < min(len(buf), n-b.n) && src.Next(&buf[k]); k++ {
+		}
+	}
+	b.fixAddresses()
+	t := b.finish()
+	t.nextFixed = nextOf(t.statics, recFixed, recFixed)
+	return t
+}
+
+// entry returns the entry cached under key, or maps fresh there when
+// there is none or stale reports the cached one out of date, dropping a
+// replaced entry's footprint from the resident count.
+func (a *Arena) entry(key string, fresh *arenaEntry, stale func(*arenaEntry) bool) *arenaEntry {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e := a.entries[key]
+	if e != nil && !stale(e) {
+		return e
+	}
+	if e != nil && e.lastUse != 0 {
+		a.resident -= e.t.bytes()
+	}
+	a.entries[key] = fresh
+	return fresh
 }
 
 // finish applies the shared post-decode bookkeeping for the entry cached
@@ -296,16 +341,11 @@ func newMemSource(t *table, h Header, decodeErr error) *MemSource {
 }
 
 // NewMemSource returns a MemSource over a static-instruction table of
-// insts with header h (primarily for tests; arena Load is the production
-// constructor).
+// insts with header h (primarily for tests; the arena's Load, LoadRef and
+// Capture are the production constructors).
 func NewMemSource(insts []Inst, h Header) *MemSource {
-	recs := make([]record, len(insts))
-	var esc []Inst
-	for i := range insts {
-		recs[i], esc = pack(&insts[i], esc)
-	}
 	b := newTableBuilder(len(insts))
-	b.add(recs, esc)
+	b.addInsts(insts)
 	t := b.finish()
 	return newMemSource(&t, h, nil)
 }

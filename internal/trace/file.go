@@ -32,8 +32,7 @@ const Magic = "WCTR"
 // tags they do not know).
 const FormatVersion = 1
 
-// FileExt is the conventional extension for captured trace files. The
-// sweep engine resolves benchmark names against <dir>/<benchmark>.wct.
+// FileExt is the conventional extension for captured trace files.
 const FileExt = ".wct"
 
 // Header describes a captured trace. It is written after the magic and

@@ -29,6 +29,11 @@ package trace
 // instruction instead of a 48-byte Inst. The worst cases cost more and
 // are pinned by the tests: a random address costs 2 + 8 bytes, and a
 // stream that never continues a run 8 bytes of runs per instruction.
+// An in-process capture (Arena.Capture) also keeps each memory static
+// that only ever takes one address as a fixed static, that address its
+// payload, whose instances take no deltas (a capture's nextFixed finds
+// them): about half the suite's memory instances load or store a global,
+// and its captures cost 0.61 to 1.39 bytes per instruction.
 //
 // A record is also the decoder's output. An Inst is 48 bytes, but a
 // well-formed one carries at most one 64-bit payload word — Addr for
@@ -69,6 +74,7 @@ const (
 	recTaken    = 0x10 // control transfer taken
 	recMem      = 0x20 // memory kind: payload is Addr, BaseValue is Addr - off
 	recEscape   = 0x40 // the instruction is escape-table entry payload
+	recFixed    = 0x80 // memory static at one address, its payload
 	recFlags    = 0xf0
 )
 
@@ -136,6 +142,9 @@ type table struct {
 	// position of each. They are instances of escapeStatic.
 	esc   []Inst
 	escAt []uint32
+	// nextFixed holds, for each static s, the first fixed static at or
+	// after s, like nextMem; only captures have it.
+	nextFixed []uint32
 	// nextMem holds, for each static s, the first memory static at or
 	// after s, or len(statics) when there is none; then len(statics).
 	nextMem []uint32
@@ -151,7 +160,7 @@ func (t *table) insts() int { return int(t.runs[len(t.runs)-1].at) }
 
 // bytes is the memory the table occupies.
 func (t *table) bytes() int64 {
-	return int64(len(t.statics))*recordBytes + int64(len(t.nextMem))*nextMemBytes +
+	return int64(len(t.statics))*recordBytes + int64(len(t.nextMem)+len(t.nextFixed))*nextMemBytes +
 		int64(len(t.runs))*runBytes + int64(len(t.deltas))*deltaBytes +
 		int64(len(t.wide))*wideBytes + int64(len(t.esc))*escBytes
 }
@@ -174,7 +183,11 @@ func (t *table) expand(c *cursor, last []uint64, out []Inst) {
 	for p := start; p < end; {
 		r, stop := t.runs[c.run], int(t.runs[c.run+1].at)
 		k := min(stop, end) - p
-		t.expandSeg(c, last, int(r.static)+p-int(r.at), out[p-start:p-start+k])
+		s, seg := int(r.static)+p-int(r.at), out[p-start:p-start+k]
+		t.expandSeg(c, last, s, seg)
+		if t.nextFixed != nil {
+			t.fixSeg(s, seg)
+		}
 		if p += k; p == stop {
 			c.run++
 		}
@@ -195,7 +208,7 @@ func (t *table) expand(c *cursor, last []uint64, out []Inst) {
 // nextMem, so non-memory ones cost it nothing and it takes no branch
 // per static: it adds each one's next delta to its latest address and
 // adds the result into the address fields. Its only other branch is the
-// wide-address test.
+// wide-address test. A capture's fixed statics are left to fixSeg.
 //
 //wclint:hotpath
 func (t *table) expandSeg(c *cursor, last []uint64, s int, seg []Inst) {
@@ -219,6 +232,19 @@ func (t *table) expandSeg(c *cursor, last []uint64, s int, seg []Inst) {
 		in.BaseValue += addr
 	}
 	c.delta = a
+}
+
+// fixSeg writes the one address of each fixed static's instance in seg,
+// the instances of consecutive statics from s on that expandSeg wrote,
+// and clears the target put copied from it.
+//
+//wclint:hotpath
+func (t *table) fixSeg(s int, seg []Inst) {
+	for fs := int(t.nextFixed[s]); fs < s+len(seg); fs = int(t.nextFixed[fs+1]) {
+		addr := t.statics[fs].payload
+		in := &seg[fs-s]
+		in.Addr, in.BaseValue, in.Target = addr, in.BaseValue+addr, 0
+	}
 }
 
 // put writes the instance of static r at address 0 into *in. Kind and
@@ -315,6 +341,22 @@ func (b *tableBuilder) add(recs []record, esc []Inst) {
 	}
 }
 
+// addInsts packs insts and appends them to the table, a run of records
+// at a time.
+func (b *tableBuilder) addInsts(insts []Inst) {
+	var recs [expandRun]record
+	var esc []Inst
+	for len(insts) > 0 {
+		k := min(len(insts), len(recs))
+		esc = esc[:0]
+		for i := range insts[:k] {
+			recs[i], esc = pack(&insts[i], esc)
+		}
+		b.add(recs[:k], esc)
+		insts = insts[k:]
+	}
+}
+
 // follow appends the leading records of recs that are instances of the
 // statics after the latest instruction's, in order, and returns how many
 // it appended. It stops at an escaped record or any other static. The
@@ -404,22 +446,83 @@ func (b *tableBuilder) rehash() {
 // finish returns the built table, each part copied to its exact length
 // so the resident table holds no growth slack.
 func (b *tableBuilder) finish() table {
-	next := make([]uint32, len(b.statics)+1)
-	next[len(b.statics)] = uint32(len(b.statics))
-	for s := len(b.statics) - 1; s >= 0; s-- {
-		next[s] = next[s+1]
-		if b.statics[s].meta&recMem != 0 {
-			next[s] = uint32(s)
-		}
-	}
 	return table{
 		statics: exact(b.statics),
-		nextMem: next,
+		nextMem: nextOf(b.statics, recMem|recFixed, recMem),
 		runs:    exact(append(b.runs, run{at: uint32(b.n)})),
 		deltas:  exact(b.deltas),
 		wide:    exact(b.wide),
 		esc:     exact(b.esc),
 		escAt:   exact(b.escAt),
+	}
+}
+
+// nextOf returns, for each static s, the first static at or after s
+// whose meta bits under mask are want, or len(statics) when there is
+// none; then len(statics).
+func nextOf(statics []record, mask, want uint32) []uint32 {
+	next := make([]uint32, len(statics)+1)
+	next[len(statics)] = uint32(len(statics))
+	for s := len(statics) - 1; s >= 0; s-- {
+		next[s] = next[s+1]
+		if statics[s].meta&mask == want {
+			next[s] = uint32(s)
+		}
+	}
+	return next
+}
+
+// fixAddresses makes each memory static whose instances all take one
+// address a fixed static: the address becomes its payload, and its
+// instances' deltas and wide words go. Expansion writes its instances'
+// addresses in a pass of their own (nextFixed).
+func (b *tableBuilder) fixAddresses() {
+	const seen, moved = 1, 2
+	state := make([]uint8, len(b.statics))
+	b.memInstances(func(s uint32, d, _ int) {
+		switch {
+		case state[s] == 0:
+			state[s] = seen
+		case b.deltas[d] != 0:
+			state[s] = moved
+		}
+	})
+	deltas, wide := b.deltas[:0], b.wide[:0] // compacted in place
+	b.memInstances(func(s uint32, d, w int) {
+		if state[s] == moved {
+			if deltas = append(deltas, b.deltas[d]); b.deltas[d] == wideDelta {
+				wide = append(wide, b.wide[w])
+			}
+		}
+	})
+	b.deltas, b.wide = deltas, wide
+	for s, st := range state {
+		if st == seen { // every instance took the static's latest address
+			b.statics[s].payload, b.statics[s].meta = b.prev[s], b.statics[s].meta|recFixed
+		}
+	}
+}
+
+// memInstances calls f for each memory instruction added, in stream
+// order, with its static, the index of its delta and that of the wide
+// word it takes if its delta is wideDelta.
+func (b *tableBuilder) memInstances(f func(s uint32, d, w int)) {
+	d, w := 0, 0
+	for r, run := range b.runs {
+		end := uint32(b.n)
+		if r+1 < len(b.runs) {
+			end = b.runs[r+1].at
+		}
+		for p, s := run.at, run.static; p < end; p, s = p+1, s+1 {
+			if b.statics[s].meta&recMem != 0 {
+				wide := b.deltas[d] == wideDelta
+				f(s, d, w)
+				if wide {
+					w++
+				}
+				d++
+			}
+		}
 	}
 }
 

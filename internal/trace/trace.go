@@ -18,7 +18,8 @@
 // statics its stream forms and a 2-byte delta per memory address — and
 // replays it by index (MemSource), expanding one fetch window of
 // instructions at a time, so an N-config sweep pays one decode per file
-// instead of one per simulation.
+// instead of one per simulation; Arena.Capture does the same for a live
+// generator, which is how every suite benchmark run gets its stream.
 package trace
 
 import "waycache/internal/isa"

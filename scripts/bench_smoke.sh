@@ -1,10 +1,10 @@
 #!/bin/sh
 # Bench smoke: one iteration of every top-level benchmark, of the trace
 # decode benchmarks and of the core benchmarks with -benchmem, of the
-# corpus-fill benchmark at one and two CPUs, and of the result store's
-# Open, proving the harness runs end to end and the custom metrics (ed_*,
-# accuracies, ns/inst) keep computing — plus a perf regression tripwire
-# on the headline pipeline benchmark.
+# corpus-fill benchmark at one and two CPUs, of the result store's Open
+# and of the suite's capture build, proving the harness runs end to end
+# and the custom metrics (ed_*, accuracies, ns/inst) keep computing —
+# plus a perf regression tripwire on the headline pipeline benchmark.
 #
 # BenchmarkTable5's single-iteration time is compared against the baseline
 # committed in BENCH_PR8.json. The comparison only *fails* the build when
@@ -30,6 +30,9 @@ go test -bench . -benchtime=1x -benchmem -run '^$' ./internal/core
 go test -run '^$' -bench StoreRecords -benchtime=1x -cpu 1,2 ./internal/sweep
 # Reopening a result store of 1,500 records: Open's one full log scan.
 go test -run '^$' -bench '^BenchmarkOpen$' -benchtime=1x ./internal/resultdb
+# Building every suite capture at 150k instructions from a cold arena,
+# beside bare walker generation (ns/inst each).
+go test -run '^$' -bench '^BenchmarkSuiteCapture$' -benchtime=1x ./internal/workload
 
 t5=$(awk '/^BenchmarkTable5/ {print $3; exit}' "$out")
 if [ -z "$t5" ]; then

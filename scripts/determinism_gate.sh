@@ -1,16 +1,20 @@
 #!/bin/sh
 # Determinism gate: simulation outputs are contractually byte-stable.
 #
-# Runs a small sweep grid twice through both trace sources — the live
-# workload walker and a fresh .wct capture replay — and byte-diffs every
-# output against the checked-in golden fixtures (testdata/golden_sweep.json
-# / .csv), then checks that three -shard pieces concatenate to the golden
-# CSV body. An experiments leg checks that the paper's evaluation is
-# worker-count independent, that a second run against the same -store
-# recalls every cell, and that a bad -benchmarks list fails with a
-# one-line error. Any drift means a change to simulation behaviour, which
-# a perf refactor must not cause; regenerate the fixtures (GOLDEN=regen) only for
-# a PR that intentionally changes the model.
+# Runs a small sweep grid twice through both trace sources and byte-diffs
+# every output against the checked-in golden fixtures
+# (testdata/golden_sweep.json / .csv), which were recorded from live
+# workload walkers. The "walker" legs replay the sweep's shared in-process
+# capture of each benchmark's walker stream; the "replay" legs decode a
+# fresh .wct capture of the same benchmarks, filed in a content-addressed
+# trace store and named by its hash (-traces, -tracestore). The gate then
+# checks that three -shard pieces concatenate to the golden CSV body. An
+# experiments leg checks that the paper's evaluation is worker-count
+# independent, that a second run against the same -store recalls every
+# cell, and that a bad -benchmarks list fails with a one-line error. Any
+# drift means a change to simulation behaviour, which a perf refactor must
+# not cause; regenerate the fixtures (GOLDEN=regen) only for a PR that
+# intentionally changes the model.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,14 +43,27 @@ run_sweep csv "$tmp/walk1.csv"
 cmp "$tmp/walk1.json" "$tmp/walk2.json" ||
     { echo "determinism gate: walker sweep differs run to run" >&2; exit 1; }
 
-# Trace-replay grid, twice, from a fresh capture of the same benchmarks.
-mkdir "$tmp/traces"
+# Trace-replay grid, twice, from a fresh capture of the same benchmarks,
+# replayed by content hash. A reference the sweep cannot use warns on
+# stderr and falls back, so the stderr of each replay leg must be clean.
+refs=""
 for b in $(echo "$BENCHES" | tr , ' '); do
-    "$tmp/tracegen" -capture -bench "$b" -n "$INSTS" -o "$tmp/traces/$b.wct" >/dev/null
+    ref=$("$tmp/tracegen" -capture -bench "$b" -n "$INSTS" -store "$tmp/ts" 2>/dev/null)
+    refs="$refs${refs:+,}$ref"
 done
-run_sweep json "$tmp/replay1.json" -trace "$tmp/traces"
-run_sweep json "$tmp/replay2.json" -trace "$tmp/traces"
-run_sweep csv "$tmp/replay1.csv" -trace "$tmp/traces"
+run_replay() { # $1=format $2=out $3... extra flags
+    fmt=$1; outf=$2; shift 2
+    run_sweep "$fmt" "$outf" -traces "$refs" -tracestore "$tmp/ts" "$@" 2>"$outf.err" ||
+        { cat "$outf.err" >&2; exit 1; }
+    if grep -q "replayed from walker" "$outf.err"; then
+        cat "$outf.err" >&2
+        echo "determinism gate: replay sweep fell back to the walker" >&2
+        exit 1
+    fi
+}
+run_replay json "$tmp/replay1.json"
+run_replay json "$tmp/replay2.json"
+run_replay csv "$tmp/replay1.csv"
 cmp "$tmp/replay1.json" "$tmp/replay2.json" ||
     { echo "determinism gate: replay sweep differs run to run" >&2; exit 1; }
 cmp "$tmp/walk1.json" "$tmp/replay1.json" ||
@@ -61,7 +78,7 @@ cmp "$tmp/walk1.csv" "$tmp/replay1.csv" ||
 run_sweep json "$tmp/walk_w4.json" -workers 4
 cmp "$tmp/walk1.json" "$tmp/walk_w4.json" ||
     { echo "determinism gate: -workers 4 walker sweep differs from serial" >&2; exit 1; }
-run_sweep json "$tmp/replay_w4.json" -workers 4 -trace "$tmp/traces"
+run_replay json "$tmp/replay_w4.json" -workers 4
 cmp "$tmp/walk1.json" "$tmp/replay_w4.json" ||
     { echo "determinism gate: -workers 4 replay sweep differs from serial" >&2; exit 1; }
 
