@@ -23,10 +23,11 @@
 // mapping benchmarks to content-addressed trace://<sha256> references
 // (printed by tracegen -capture -store) and -tracestore naming the store
 // that holds them, those benchmarks replay the stored captures instead —
-// identical records for a faithful capture. A reference that cannot be
-// used (no store, missing or unreadable object, too few instructions)
-// falls back to the suite benchmark's own stream, and every fallback is
-// reported on stderr with its reason, never silently.
+// identical records for a faithful capture. A reference the store cannot
+// serve (missing or unreadable object, too few instructions) falls back
+// to the suite benchmark's own stream, and every fallback is reported on
+// stderr with its reason, never silently; without -tracestore a
+// reference fails the sweep.
 //
 // The grid is the cartesian product of every dimension flag; omitted
 // dimensions stay at the paper's Table 1 defaults. Output (JSON or CSV)

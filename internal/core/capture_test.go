@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"waycache/internal/trace"
@@ -71,5 +72,42 @@ func TestGrownCaptureMatchesCold(t *testing.T) {
 	}
 	if again, err := Run(short); err != nil || !sameStats(again, walkerRun(t, short)) {
 		t.Fatalf("short run replayed from the grown capture differs (err %v)", err)
+	}
+}
+
+// TestLongRunStreamsWalker: a run too long to capture under the shared
+// arena's cap reads its benchmark's walker as it goes, the parent's
+// stream, without an allocation in proportion to its length.
+func TestLongRunStreamsWalker(t *testing.T) {
+	const insts = 4_000_000_000
+	before := trace.SharedArena().ResidentBytes()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	src, _, _, err := Config{Benchmark: "gcc", Insts: insts}.source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Inst
+	for w := src.Window(); len(got) < 1000; w = src.Window() {
+		got = append(got, w...)
+		src.Advance(len(w))
+	}
+	runtime.ReadMemStats(&m1)
+	if took := m1.TotalAlloc - m0.TotalAlloc; took > 16<<20 {
+		t.Fatalf("a %d-instruction run allocated %d bytes before its first windows", int64(insts), took)
+	}
+	if trace.SharedArena().ResidentBytes() != before {
+		t.Fatal("a run too long to capture was captured")
+	}
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.NewWalker()
+	for i := range got {
+		var want trace.Inst
+		if w.Next(&want); got[i] != want {
+			t.Fatalf("instruction %d: %+v, walker gives %+v", i, got[i], want)
+		}
 	}
 }

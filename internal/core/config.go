@@ -32,7 +32,9 @@ import (
 type Config struct {
 	// Benchmark names a workload.Suite profile. Leave empty and set Source
 	// or Trace to drive the simulator from a custom stream; without them
-	// a run replays the process-wide capture of the benchmark's walker.
+	// a run replays the process-wide capture of the benchmark's walker
+	// (see trace.Arena.Capture; a run too long to capture reads the
+	// walker as it goes).
 	Benchmark string
 	// Source is an optional custom stream (overrides Benchmark and Trace);
 	// wrap a Next-only generator with trace.Windowed. A config driving one
@@ -204,10 +206,7 @@ func (c Config) source() (src trace.WindowSource, name string, finish func() err
 		return nil, "", nil, err
 	}
 	h := trace.Header{Benchmark: p.Name, Seed: p.Seed, Insts: c.Insts}
-	capture, err := trace.SharedArena().Capture(h, func() trace.Source { return p.NewWalker() })
-	if err != nil {
-		return nil, "", nil, err
-	}
+	capture := trace.SharedArena().Capture(h, func() trace.Source { return p.NewWalker() })
 	return trace.NewLimit(capture, c.Insts), p.Name, nil, nil
 }
 

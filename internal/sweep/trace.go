@@ -50,10 +50,11 @@ func newTraceResolver(store *tracestore.Store) *traceResolver {
 // gains the store; an unusable one falls back to the benchmark's stream
 // only when it is a suite benchmark, with the reason — which names the
 // hash and distinguishes a missing object from an unreadable one —
-// recorded either way.
+// recorded either way. Without a store nothing is resolved, so a
+// reference fails its run in core.
 func (r *traceResolver) resolve(cfg core.Config) core.Config {
 	hash, ok := trace.ParseRef(cfg.Trace)
-	if cfg.Source != nil || !ok {
+	if cfg.Source != nil || !ok || r.store == nil {
 		return cfg
 	}
 	p := r.probeRef(cfg.Trace, hash)
@@ -82,20 +83,18 @@ func (r *traceResolver) resolve(cfg core.Config) core.Config {
 		cfg.Trace, cfg.TraceStore = "", nil
 		return cfg
 	}
-	// No suite stream exists for this workload. Keep the reference (and
-	// the store, if there is one) so the run fails with the real
-	// resolution error instead of computing something else.
-	if r.store != nil {
-		cfg.TraceStore = r.store
-	}
+	// No suite stream exists for this workload. Keep the reference and
+	// the store so the run fails with the real resolution error instead
+	// of computing something else.
+	cfg.TraceStore = r.store
 	return cfg
 }
 
 // probeRef inspects the store object behind a trace:// reference once
-// and caches the verdict. The reasons deliberately split the three
-// failure classes a distributed operator must tell apart: no store
-// configured, hash not in the store (fetch/push it), and object present
-// but unreadable (corrupt fetch or disk fault).
+// and caches the verdict. The reasons deliberately split the two
+// failure classes a distributed operator must tell apart: hash not in the
+// store (fetch/push it), and object present but unreadable (corrupt fetch
+// or disk fault).
 func (r *traceResolver) probeRef(ref, hash string) traceProbe {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -103,9 +102,7 @@ func (r *traceResolver) probeRef(ref, hash string) traceProbe {
 		return p
 	}
 	var p traceProbe
-	if r.store == nil {
-		p.reason = fmt.Sprintf("trace %s: no trace store configured (-tracestore)", trace.ShortHash(hash))
-	} else if path, err := r.store.Path(hash); err != nil {
+	if path, err := r.store.Path(hash); err != nil {
 		if errors.Is(err, tracestore.ErrNotFound) {
 			p.reason = fmt.Sprintf("trace %s: not in the trace store", trace.ShortHash(hash))
 		} else {

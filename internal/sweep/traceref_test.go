@@ -86,15 +86,15 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 	missing := trace.FormatRef(strings.Repeat("ab", 32))
 
 	t.Run("no-store", func(t *testing.T) {
-		// A resolver without a store still explains ref failures.
-		r := newTraceResolver(nil)
-		cfg := r.resolve(coreCfg("gcc", missing))
-		if cfg.Trace != "" {
-			t.Fatalf("suite benchmark did not fall back to the walker: %+v", cfg)
+		// Without a store a reference does not fall back: the run fails
+		// in core, naming the missing store.
+		eng := New(Options{})
+		_, err := eng.RunConfigs(context.Background(), []core.Config{coreCfg("gcc", missing)})
+		if err == nil || !strings.Contains(err.Error(), "needs a trace store") {
+			t.Fatalf("run of a reference without a store: err %v, want one naming the missing store", err)
 		}
-		why := r.fallbackReport()["gcc"]
-		if !strings.Contains(why, "no trace store configured") || !strings.Contains(why, "abababababab") {
-			t.Fatalf("reason %q must name the hash and the missing store", why)
+		if fb := eng.TraceFallbacks(); len(fb) != 0 {
+			t.Fatalf("a failed reference was reported as a fallback: %v", fb)
 		}
 	})
 

@@ -35,12 +35,12 @@ import (
 
 // DefaultArenaCap bounds the shared arena's resident bytes, as
 // ResidentBytes counts them. A resident instruction costs from a fraction
-// of a byte (a revisited non-memory static inside a run) to 46 (a memory
+// of a byte (a revisited non-memory static inside a run) to 50 (a memory
 // instruction at a PC never seen before that starts a run and takes a
 // wide address) or about 70 (an escaped one, a run of its own), so the
-// cap counts memory, not instructions. Suite captures cost 0.87 to 1.77
-// bytes per instruction, so 384 MiB holds about 230 to 460 million
-// suite-like instructions.
+// cap counts memory, not instructions. Suite benchmarks cost 0.61 to 1.39
+// bytes per instruction captured in process and 0.87 to 1.77 decoded, so
+// 384 MiB holds about 230 to 660 million suite-like instructions.
 // Long-lived processes (waycached) sweep many grids over the same handful
 // of captures; least-recently-used files are evicted past the cap.
 const DefaultArenaCap = 384 << 20
@@ -126,41 +126,50 @@ func (a *Arena) LoadRef(path, sha256hex string) (*MemSource, error) {
 	return a.finish(key, e)
 }
 
-// maxCaptureInsts bounds a capture's length: a table numbers its
-// instructions in 32 bits, and a builder counts them in an int.
-const maxCaptureInsts = min(math.MaxUint32, math.MaxInt)
+// A capture is built only when its size, reckoned at captureInstBytes an
+// instruction (past the 1.39 of the costliest suite capture), is at most
+// 1/captureShare of the arena's cap: the whole suite's captures then fit
+// under the cap at once, and no one run takes the arena's memory. A table
+// numbers its instructions in 32 bits, and a builder counts them in an
+// int.
+const (
+	captureShare     = 16
+	captureInstBytes = 2
+	maxCaptureInsts  = min(math.MaxUint32, math.MaxInt)
+)
 
-// Capture returns a MemSource replaying the first h.Insts instructions
-// of the endless stream gen returns, which h.Benchmark and h.Seed name:
-// one capture then serves every request of its length or less. The first
-// request for a name, or one longer than its capture, drains gen into a
-// table once across all concurrent callers, replacing the shorter one.
+// Capture returns a source of the first h.Insts instructions of the
+// endless stream gen returns, which h.Benchmark and h.Seed name. The
+// first request for a name, or one longer than its capture, drains gen
+// into a table once across all concurrent callers, replacing the shorter
+// one; every request of its length or less then replays that table.
 // Captures count against the cap like files and are rebuilt if evicted.
-func (a *Arena) Capture(h Header, gen func() Source) (*MemSource, error) {
-	if h.Insts > maxCaptureInsts {
-		return nil, fmt.Errorf("trace: a capture holds at most %d instructions, not %d", int64(maxCaptureInsts), h.Insts)
+// A stream too long to capture (see captureShare) is not held: its
+// source generates it as it is read, in constant memory.
+func (a *Arena) Capture(h Header, gen func() Source) WindowSource {
+	if h.Insts > maxCaptureInsts || a.capAt > 0 && h.Insts > a.capAt/(captureShare*captureInstBytes) {
+		return Windowed(gen(), expandRun)
 	}
 	h.Insts = max(h.Insts, 0)
 	key := fmt.Sprintf("capture:%s:%#x", h.Benchmark, h.Seed)
 	e := a.entry(key, &arenaEntry{h: h}, func(old *arenaEntry) bool { return old.h.Insts < h.Insts })
 	e.once.Do(func() { e.t = captureTable(gen(), int(e.h.Insts)) })
-	return a.finish(key, e)
+	src, _ := a.finish(key, e) // a capture has no open error
+	return src
 }
 
 // captureTable builds the table of the first n instructions src yields,
 // or of all of them if it runs dry first, packing a window at a time,
 // with its constant addresses fixed.
 func captureTable(src Source, n int) table {
-	b := newTableBuilder(n)
+	b := newTableBuilder(0)
 	var buf [expandRun]Inst
 	for k := len(buf); k == len(buf) && b.n < n; b.addInsts(buf[:k]) {
 		for k = 0; k < min(len(buf), n-b.n) && src.Next(&buf[k]); k++ {
 		}
 	}
 	b.fixAddresses()
-	t := b.finish()
-	t.nextFixed = nextOf(t.statics, recFixed, recFixed)
-	return t
+	return b.finish()
 }
 
 // entry returns the entry cached under key, or maps fresh there when

@@ -24,13 +24,13 @@ func arenaInsts(n int) []Inst {
 	return insts
 }
 
-// arenaInstsBytes is the exact resident size of arenaInsts(n): no PC
-// repeats, so every instruction is a static of its own (with its nextMem
-// entry, plus the closing one), all in one run (plus the terminating
-// run). Every address is a first visit past 32 KiB, so each takes the
-// sentinel delta and a wide word.
+// arenaInstsBytes is the exact resident size of arenaInsts(n) decoded
+// from a file: no PC repeats, so every instruction is a static of its
+// own (with its nextMem and nextFixed entries, plus the closing ones),
+// all in one run (plus the terminating run). Every address is a first
+// visit past 32 KiB, so each takes the sentinel delta and a wide word.
 func arenaInstsBytes(n int) int64 {
-	return int64(n)*(recordBytes+deltaBytes+wideBytes) + int64(n+1)*nextMemBytes + 2*runBytes
+	return int64(n)*(recordBytes+deltaBytes+wideBytes) + 2*int64(n+1)*nextMemBytes + 2*runBytes
 }
 
 func writeTrace(t *testing.T, path string, h Header, insts []Inst) {

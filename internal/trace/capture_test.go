@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,12 +31,20 @@ func captureBytes(n int) int64 {
 	return int64(n)*recordBytes + 2*int64(n+1)*nextMemBytes + 2*runBytes
 }
 
+// captured returns the capture a's Capture returned, failing t if it
+// streamed instead.
+func captured(t *testing.T, a *Arena, h Header, gen func() Source) *MemSource {
+	t.Helper()
+	src, ok := a.Capture(h, gen).(*MemSource)
+	if !ok {
+		t.Fatalf("a %d-instruction request was streamed, not captured", h.Insts)
+	}
+	return src
+}
+
 func capture(t *testing.T, a *Arena, g *countingGen, seed uint64, n int64) []Inst {
 	t.Helper()
-	src, err := a.Capture(Header{Benchmark: "gen", Seed: seed, Insts: n}, g.gen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := captured(t, a, Header{Benchmark: "gen", Seed: seed, Insts: n}, g.gen)
 	if h := src.Header(); h.Benchmark != "gen" || h.Seed != seed || h.Insts < n {
 		t.Fatalf("capture header %+v, want gen, seed %d, at least %d instructions", h, seed, n)
 	}
@@ -79,9 +88,9 @@ func TestArenaCaptureConcurrentBuildsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			src, err := a.Capture(Header{Benchmark: "gen", Insts: 300}, g.gen)
-			if err != nil {
-				t.Error(err)
+			src, ok := a.Capture(Header{Benchmark: "gen", Insts: 300}, g.gen).(*MemSource)
+			if !ok {
+				t.Error("a 300-instruction request was streamed, not captured")
 				return
 			}
 			srcs[i] = src
@@ -163,7 +172,34 @@ func TestArenaCaptureCountsInResident(t *testing.T) {
 	if a.Resident() != 100 || a.ResidentBytes() != captureBytes(100) {
 		t.Fatalf("resident %d instructions, %d bytes; want 100, %d", a.Resident(), a.ResidentBytes(), captureBytes(100))
 	}
-	if _, err := a.Capture(Header{Insts: maxCaptureInsts + 1}, nil); err == nil {
-		t.Fatal("a capture longer than a table can number was accepted")
+}
+
+// TestArenaCaptureStreamsWhatItCannotHold: a request longer than a table
+// numbers, or past the arena's share for one capture, is generated as it
+// is read. Nothing is built, cached or charged, and the request takes no
+// memory in proportion to its length.
+func TestArenaCaptureStreamsWhatItCannotHold(t *testing.T) {
+	g := &countingGen{insts: arenaInsts(300)}
+	for _, c := range []struct{ capBytes, insts int64 }{
+		{DefaultArenaCap, 4_000_000_000},
+		{0, maxCaptureInsts + 1},
+		{captureShare * captureInstBytes * 299, 300},
+	} {
+		a := NewArena(c.capBytes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		src := a.Capture(Header{Benchmark: "gen", Insts: c.insts}, g.gen)
+		got := drain(NewLimit(src, c.insts))
+		runtime.ReadMemStats(&after)
+		if _, ok := src.(*MemSource); ok || !slices.Equal(got, g.insts) {
+			t.Errorf("cap %d, %d instructions: captured, or streamed other instructions", c.capBytes, c.insts)
+		}
+		if a.Len() != 0 || a.ResidentBytes() != 0 {
+			t.Errorf("cap %d, %d instructions: the arena holds %d entries, %d bytes", c.capBytes, c.insts, a.Len(), a.ResidentBytes())
+		}
+		if took := after.TotalAlloc - before.TotalAlloc; took > 1<<20 {
+			t.Errorf("cap %d, %d instructions: the request allocated %d bytes", c.capBytes, c.insts, took)
+		}
 	}
+	captured(t, NewArena(captureShare*captureInstBytes*300), Header{Insts: 300}, g.gen)
 }

@@ -40,17 +40,17 @@ func suiteCapture(tb testing.TB, n int64) []byte {
 // this table, and the test fails the same way on any host, unlike a
 // wall-clock reading.
 var suiteFootprint = map[string]int64{
-	"applu":   179372,
-	"fpppp":   184958,
-	"gcc":     241288,
-	"go":      215342,
-	"li":      211466,
-	"m88ksim": 149158,
-	"mgrid":   130132,
-	"perl":    265312,
-	"swim":    144288,
-	"troff":   223340,
-	"vortex":  200922,
+	"applu":   181596,
+	"fpppp":   190962,
+	"gcc":     246208,
+	"go":      215862,
+	"li":      212282,
+	"m88ksim": 149582,
+	"mgrid":   131112,
+	"perl":    265584,
+	"swim":    145576,
+	"troff":   223768,
+	"vortex":  201302,
 }
 
 // TestSuiteFootprint captures each suite benchmark's first suiteInsts

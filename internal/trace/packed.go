@@ -31,9 +31,11 @@ package trace
 // stream that never continues a run 8 bytes of runs per instruction.
 // An in-process capture (Arena.Capture) also keeps each memory static
 // that only ever takes one address as a fixed static, that address its
-// payload, whose instances take no deltas (a capture's nextFixed finds
-// them): about half the suite's memory instances load or store a global,
-// and its captures cost 0.61 to 1.39 bytes per instruction.
+// payload, whose instances take no deltas (nextFixed finds them): about
+// half the suite's memory instances load or store a global, and its
+// captures cost 0.61 to 1.39 bytes per instruction. A decoded file keeps
+// every delta, since finding its fixed statics would cost each decode a
+// pass over its memory instructions; its nextFixed finds none.
 //
 // A record is also the decoder's output. An Inst is 48 bytes, but a
 // well-formed one carries at most one 64-bit payload word — Addr for
@@ -142,12 +144,10 @@ type table struct {
 	// position of each. They are instances of escapeStatic.
 	esc   []Inst
 	escAt []uint32
-	// nextFixed holds, for each static s, the first fixed static at or
-	// after s, like nextMem; only captures have it.
-	nextFixed []uint32
 	// nextMem holds, for each static s, the first memory static at or
-	// after s, or len(statics) when there is none; then len(statics).
-	nextMem []uint32
+	// after s that is not fixed, or len(statics) when there is none; then
+	// len(statics). nextFixed does the same for fixed statics.
+	nextMem, nextFixed []uint32
 }
 
 // escapeStatic is the static every escaped instruction is an instance
@@ -185,9 +185,7 @@ func (t *table) expand(c *cursor, last []uint64, out []Inst) {
 		k := min(stop, end) - p
 		s, seg := int(r.static)+p-int(r.at), out[p-start:p-start+k]
 		t.expandSeg(c, last, s, seg)
-		if t.nextFixed != nil {
-			t.fixSeg(s, seg)
-		}
+		t.fixSeg(s, seg)
 		if p += k; p == stop {
 			c.run++
 		}
@@ -208,7 +206,7 @@ func (t *table) expand(c *cursor, last []uint64, out []Inst) {
 // nextMem, so non-memory ones cost it nothing and it takes no branch
 // per static: it adds each one's next delta to its latest address and
 // adds the result into the address fields. Its only other branch is the
-// wide-address test. A capture's fixed statics are left to fixSeg.
+// wide-address test. Fixed statics are left to fixSeg.
 //
 //wclint:hotpath
 func (t *table) expandSeg(c *cursor, last []uint64, s int, seg []Inst) {
@@ -314,10 +312,13 @@ type tableBuilder struct {
 // suite capture.
 const internSlots = 4096
 
-// newTableBuilder returns a builder sized for n instructions. Streams are
-// mostly not memory instructions, so deltas starts at half of n, and
-// suite captures average about 17 instructions a run, so runs starts at
-// an eighth; each grows past that only for a stream that needs it.
+// newTableBuilder returns a builder sized for n instructions, which the
+// caller already holds in some form (a file's records, a slice of Insts):
+// a capture, whose length is only a request, starts at 0 and grows with
+// what it adds. Streams are mostly not memory instructions, so deltas
+// starts at half of n, and suite captures average about 17 instructions
+// a run, so runs starts at an eighth; each grows past that only for a
+// stream that needs it.
 func newTableBuilder(n int) *tableBuilder {
 	return &tableBuilder{
 		table: table{runs: make([]run, 0, n/8+1), deltas: make([]int16, 0, n/2+1)},
@@ -447,13 +448,14 @@ func (b *tableBuilder) rehash() {
 // so the resident table holds no growth slack.
 func (b *tableBuilder) finish() table {
 	return table{
-		statics: exact(b.statics),
-		nextMem: nextOf(b.statics, recMem|recFixed, recMem),
-		runs:    exact(append(b.runs, run{at: uint32(b.n)})),
-		deltas:  exact(b.deltas),
-		wide:    exact(b.wide),
-		esc:     exact(b.esc),
-		escAt:   exact(b.escAt),
+		statics:   exact(b.statics),
+		nextMem:   nextOf(b.statics, recMem|recFixed, recMem),
+		nextFixed: nextOf(b.statics, recFixed, recFixed),
+		runs:      exact(append(b.runs, run{at: uint32(b.n)})),
+		deltas:    exact(b.deltas),
+		wide:      exact(b.wide),
+		esc:       exact(b.esc),
+		escAt:     exact(b.escAt),
 	}
 }
 

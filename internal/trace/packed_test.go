@@ -155,15 +155,16 @@ func TestArenaEscapesExplicitBaseValue(t *testing.T) {
 		pos += len(w)
 	}
 	// One static per unescaped instruction (each has a PC of its own)
-	// plus the escapes' shared one, each with its nextMem entry, plus the
-	// closing one. The first escape's static is numbered in order, so it
-	// continues the first run; each later one is a run of its own and
-	// starts another after it, then the terminating run. Each unescaped
-	// instruction's address is a first visit past 32 KiB: a sentinel
-	// delta and a wide word. Then each escape with its position.
+	// plus the escapes' shared one, each with its nextMem and nextFixed
+	// entries, plus the closing ones. The first escape's static is
+	// numbered in order, so it continues the first run; each later one is
+	// a run of its own and starts another after it, then the terminating
+	// run. Each unescaped instruction's address is a first visit past 32
+	// KiB: a sentinel delta and a wide word. Then each escape with its
+	// position.
 	n := int64(len(insts))
 	statics := n - 8 + 1
-	if want := statics*recordBytes + (statics+1)*nextMemBytes + (1+2*7+1)*runBytes + (n-8)*(deltaBytes+wideBytes) + 8*escBytes; a.ResidentBytes() != want {
+	if want := statics*recordBytes + 2*(statics+1)*nextMemBytes + (1+2*7+1)*runBytes + (n-8)*(deltaBytes+wideBytes) + 8*escBytes; a.ResidentBytes() != want {
 		t.Fatalf("ResidentBytes %d, want %d", a.ResidentBytes(), want)
 	}
 }
@@ -181,7 +182,7 @@ func TestArenaResidentBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := min(i+1, 2) // the third load evicts the first
-		if want := int64(files) * (100*24 + 101*4 + 2*8 + 100*2 + 100*8); a.ResidentBytes() != want {
+		if want := int64(files) * (100*24 + 2*101*4 + 2*8 + 100*2 + 100*8); a.ResidentBytes() != want {
 			t.Fatalf("after %d loads: ResidentBytes %d, want %d", i+1, a.ResidentBytes(), want)
 		}
 	}
@@ -416,13 +417,13 @@ func TestArenaWorstCaseBytes(t *testing.T) {
 		insts []Inst
 		want  int64
 	}{
-		// The body's statics and their nextMem entries, one run per
-		// iteration and the terminating run, and a sentinel delta and a
-		// wide word per load.
-		{"random addresses", random, body*recordBytes + (body+1)*nextMemBytes + (iters+1)*runBytes + body*iters*(deltaBytes+wideBytes)},
-		// One static and its nextMem entries, and a run per instruction
-		// and the terminating run.
-		{"no runs", self, recordBytes + 2*nextMemBytes + (1000+1)*runBytes},
+		// The body's statics and their nextMem and nextFixed entries, one
+		// run per iteration and the terminating run, and a sentinel delta
+		// and a wide word per load.
+		{"random addresses", random, body*recordBytes + 2*(body+1)*nextMemBytes + (iters+1)*runBytes + body*iters*(deltaBytes+wideBytes)},
+		// One static and its nextMem and nextFixed entries, and a run per
+		// instruction and the terminating run.
+		{"no runs", self, recordBytes + 4*nextMemBytes + (1000+1)*runBytes},
 	} {
 		path := filepath.Join(t.TempDir(), "worst.wct")
 		writeTrace(t, path, Header{Insts: int64(len(c.insts))}, c.insts)
